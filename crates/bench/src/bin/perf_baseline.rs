@@ -41,8 +41,9 @@
 //!   disabled mode (the hooks behind the cached enable flag must stay
 //!   within 3% of the pre-telemetry throughput);
 //! * **copricing** — one baseline-geometry functional profile priced as a
-//!   4-variant group both ways: four serial [`price_profile`] replays vs.
-//!   one [`price_profiles`] co-priced streaming pass (N lanes in
+//!   4-variant group both ways: N single-lane passes (four
+//!   [`price_profile`] calls) vs. one [`price_profiles`] co-priced
+//!   streaming pass (N lanes in
 //!   lockstep over a single token decode). Records both wall-clocks, the
 //!   speedup, byte-identity of the results, and the `--copricing-min`
 //!   gate outcome; measured even under `--kernel-only`;

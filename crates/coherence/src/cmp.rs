@@ -1,23 +1,28 @@
 //! The CMP engine: N per-core L1 front ends over the shared L2.
 //!
-//! [`CmpSimulator`] replicates the single-CPU simulator's per-core state
-//! (scheduler, L1-I/L1-D, TLBs, write buffer, timing and functional
-//! clocks, counters) N times in front of the *shared* structures (the L2
-//! arrays, main-memory system, page mapper) and keeps the L1-D copies
-//! coherent with a directory-filtered MESI invalidation protocol (see
+//! [`CmpSimulator`] owns N instances of the single-CPU simulator's
+//! per-core pipeline ([`gaas_sim::Core`]: L1-I/L1-D, TLBs, write buffer,
+//! timing and functional clocks, counters), each with its own scheduler,
+//! in front of one shared [`gaas_sim::Backside`] (the L2 arrays,
+//! main-memory system, page mapper), and keeps the L1-D copies coherent
+//! with a directory-filtered MESI invalidation protocol (see
 //! [`crate::mesi`], [`crate::directory`]).
 //!
 //! ## The 1-core identity anchor
 //!
 //! A 1-core CMP run is **byte-identical** to [`gaas_sim::Simulator`] on
-//! the same configuration and workload (test-enforced). The per-core
-//! step functions are line-for-line the single-CPU simulator's full
-//! (uninstrumented) paths — the base engine's same-line/same-page memo
-//! skips are counter- and LRU-neutral, so always taking the full path
-//! reproduces its counters exactly — and every coherence action is gated
-//! on a second core existing. That identity pins all CMP results to the
-//! validated single-CPU model: whatever a multi-core run shows beyond
-//! the 1-core anchor is attributable to sharing, not to engine drift.
+//! the same configuration and workload (test-enforced). Both engines run
+//! the same cycle rules — the pipeline is written once — and the
+//! coherence actions plug into it through a [`CoherenceHook`] that only
+//! runs with a second core: a 1-core run passes the single CPU's
+//! [`NoCoherence`]. That identity pins all CMP results to the validated
+//! single-CPU model: whatever a multi-core run shows beyond the 1-core
+//! anchor is attributable to sharing, not to engine drift.
+//!
+//! Cores take the pipeline's same-line/same-page memo fast paths. A
+//! remote invalidation clears the invalidated core's load memo, and with
+//! the coherence oracle on every core takes the memo-free path, so the
+//! oracle sees every load hit.
 //!
 //! ## Coherence charging
 //!
@@ -41,16 +46,15 @@
 //! read-only and the workload model never writes code pages, so
 //! instruction lines cannot go stale.
 
-use gaas_cache::{CacheArray, L1DataCache, MemorySystem, PageMapper, Tlb, WriteBuffer};
 use gaas_mcm::SnoopBus;
-use gaas_sim::config::{ConfigError, L2Config, SimConfig, WbBypass};
-use gaas_sim::cpi::{Counters, ProcCounters};
-use gaas_sim::sched::Scheduler;
-use gaas_sim::sim::{REF_L2_ACCESS, REF_MEM_CLEAN, REF_MEM_DIRTY};
+use gaas_sim::config::{ConfigError, SimConfig};
+use gaas_sim::cpi::{active_processes, Counters, ProcCounters};
+use gaas_sim::sched::{Instruction, Scheduler};
 use gaas_sim::{
-    CancelToken, SimError, SimResult, Termination, Trace, TraceEvent, VirtAddr, MAX_CORES,
+    Backside, CancelToken, CoherenceHook, Core, NoCoherence, SimError, SimResult, Termination,
+    Trace, MAX_CORES,
 };
-use gaas_trace::{AccessKind, PhysAddr, Pid, PAGE_SHIFT};
+use gaas_trace::PhysAddr;
 
 use crate::directory::Directory;
 use crate::mesi::{next_state, MesiEvent, MesiState};
@@ -59,8 +63,6 @@ use crate::oracle::CoherenceOracle;
 /// Mirrors the single-CPU simulator's cancellation poll interval so the
 /// 1-core identity covers cancellation boundaries too.
 const CANCEL_CHECK_INTERVAL: u64 = 8192;
-/// Mirrors the single-CPU simulator's software translation cache.
-const TCACHE_WAYS: usize = 256;
 
 /// Result of a CMP run: the merged [`SimResult`] plus the per-core
 /// counter breakdown (warm-up already excluded from both).
@@ -73,61 +75,27 @@ pub struct CmpResult {
     pub per_core: Vec<Counters>,
 }
 
-/// One core's private state: everything the single-CPU simulator owns
-/// except the shared L2 / memory / page mapper.
-struct Core {
-    sched: Scheduler,
-    now: u64,
-    fnow: u64,
-    counters: Counters,
-    l1i: CacheArray,
-    l1d: L1DataCache,
-    itlb: Tlb,
-    dtlb: Tlb,
-    wb: WriteBuffer,
-    tcache: Vec<(u64, u64)>,
-    per_proc: Vec<ProcCounters>,
-    done: bool,
-}
-
-enum L2Arrays {
-    Unified(CacheArray),
-    Split { i: CacheArray, d: CacheArray },
+/// The protocol state all cores share, and its costs.
+struct Protocol {
+    dir: Directory,
+    bus: SnoopBus,
+    oracle: Option<CoherenceOracle>,
+    /// Clears the word-in-line bits: the directory tracks L1-D lines.
+    d_line_mask: u64,
+    snoop_bus_cycles: u64,
+    c2c_cycles: u64,
+    inv_cycles: u64,
 }
 
 /// The chip-multiprocessor simulator (see the module docs).
 pub struct CmpSimulator {
     cfg: SimConfig,
     cores: Vec<Core>,
-    l2: L2Arrays,
-    mem_d: MemorySystem,
-    mem_i: MemorySystem,
-    mapper: PageMapper,
-    dir: Directory,
-    bus: SnoopBus,
-    oracle: Option<CoherenceOracle>,
+    /// One scheduler per core, installed by `run_warmed`.
+    scheds: Vec<Scheduler>,
+    back: Backside,
+    protocol: Protocol,
     cancel: Option<CancelToken>,
-
-    /// True with two or more cores: the only gate on every coherence
-    /// action, so a 1-core run never touches the directory, the bus, the
-    /// MESI counters, or the oracle (the identity anchor).
-    multi: bool,
-    // Config-derived scalars, cached so the per-core step functions can
-    // hold a mutable borrow of one core without re-reading `cfg`.
-    tlb_penalty: u64,
-    concurrent_i_refill: bool,
-    d_read_bypass: WbBypass,
-    d_line_words: u32,
-    split_l2: bool,
-    i_hit_cost: u32,
-    d_hit_cost: u32,
-    ref_i_hit_cost: u32,
-    ref_d_hit_cost: u32,
-    d_write_access: u32,
-    d_write_stream: u32,
-    snoop_bus_cycles: u64,
-    c2c_cycles: u64,
-    inv_cycles: u64,
 }
 
 impl CmpSimulator {
@@ -138,95 +106,31 @@ impl CmpSimulator {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when the configuration is invalid, or
-    /// uses a feature the CMP engine does not implement (fault
-    /// injection, telemetry, checkpointing, seeded bugs — the same set
-    /// `SimConfig::validate` rejects for CMP-enabled configurations).
+    /// uses a feature the CMP engine does not implement
+    /// ([`SimConfig::check_cmp_support`]).
     pub fn new(cfg: SimConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        // For CMP-enabled configs validate() already rejects these; a
-        // plain 1-core config could still carry them, and this engine
-        // would silently ignore them — refuse instead.
-        if cfg.fault.enabled() {
-            return Err(ConfigError::CmpWithFaultInjection);
-        }
-        if cfg.telemetry.enabled {
-            return Err(ConfigError::CmpWithTelemetry);
-        }
-        if cfg.checkpoint_interval != 0 {
-            return Err(ConfigError::CmpWithCheckpointing);
-        }
-        if cfg.diffcheck.seeded_bug.is_some() {
-            return Err(ConfigError::CmpWithSeededBug);
-        }
+        // For CMP-enabled configs validate() already applies the
+        // refusals; a plain 1-core config could still carry them, and
+        // this engine would silently ignore them — refuse instead.
+        cfg.check_cmp_support()?;
         let n = cfg.cmp.cores as usize;
-        let l2 = match cfg.l2 {
-            L2Config::Unified(s) => L2Arrays::Unified(CacheArray::new(s.geometry()?)),
-            L2Config::Split { i, d } => L2Arrays::Split {
-                i: CacheArray::new(i.geometry()?),
-                d: CacheArray::new(d.geometry()?),
-            },
-        };
         let cores = (0..n)
-            .map(|_| {
-                Ok(Core {
-                    // Placeholder; the real schedulers are installed by
-                    // `run_warmed` from the per-core trace lists.
-                    sched: Scheduler::new(Vec::new(), cfg.mp.level, cfg.mp.time_slice_cycles),
-                    now: 0,
-                    fnow: 0,
-                    counters: Counters::new(),
-                    l1i: CacheArray::new(cfg.l1i.geometry()?),
-                    l1d: L1DataCache::new(cfg.l1d.geometry()?, cfg.policy),
-                    itlb: Tlb::instruction(),
-                    dtlb: Tlb::data(),
-                    wb: WriteBuffer::new(cfg.write_buffer.depth),
-                    tcache: vec![(u64::MAX, 0); TCACHE_WAYS],
-                    per_proc: Vec::new(),
-                    done: false,
-                })
-            })
+            .map(|_| Core::new(&cfg))
             .collect::<Result<Vec<_>, ConfigError>>()?;
-
-        // Identical cost derivation to the single-CPU simulator.
-        let beats = |line_words: u32| line_words.div_ceil(4);
-        let i_side = cfg.l2.i_side();
-        let d_side = cfg.l2.d_side();
-        let i_hit_cost = i_side.access_cycles + beats(cfg.l1i.line_words) - 1;
-        let d_hit_cost = d_side.access_cycles + beats(cfg.l1d.line_words) - 1;
-        let ref_i_hit_cost = REF_L2_ACCESS as u32 + beats(cfg.l1i.line_words) - 1;
-        let ref_d_hit_cost = REF_L2_ACCESS as u32 + beats(cfg.l1d.line_words) - 1;
-        let d_write_access = cfg.l2_drain_access_override.unwrap_or(d_side.access_cycles);
-        let d_write_stream = d_write_access.saturating_sub(2).max(1);
-
-        let oracle = if cfg.diffcheck.enabled {
-            Some(CoherenceOracle::new(n))
-        } else {
-            None
-        };
         Ok(CmpSimulator {
-            multi: n > 1,
-            tlb_penalty: cfg.tlb_miss_penalty as u64,
-            concurrent_i_refill: cfg.concurrency.concurrent_i_refill,
-            d_read_bypass: cfg.concurrency.d_read_bypass,
-            d_line_words: cfg.l1d.line_words,
-            split_l2: cfg.l2.is_split(),
-            i_hit_cost,
-            d_hit_cost,
-            ref_i_hit_cost,
-            ref_d_hit_cost,
-            d_write_access,
-            d_write_stream,
-            snoop_bus_cycles: cfg.cmp.snoop_bus_cycles as u64,
-            c2c_cycles: cfg.cmp.c2c_transfer_cycles as u64,
-            inv_cycles: cfg.cmp.invalidate_cycles as u64,
             cores,
-            l2,
-            mem_d: MemorySystem::new(cfg.memory, cfg.concurrency.l2d_dirty_buffer),
-            mem_i: MemorySystem::new(cfg.memory, false),
-            mapper: PageMapper::new(cfg.page_colors),
-            dir: Directory::new(),
-            bus: SnoopBus::new(cfg.cmp.snoop_bus_cycles),
-            oracle,
+            scheds: Vec::new(),
+            back: Backside::new(&cfg)?,
+            protocol: Protocol {
+                dir: Directory::new(),
+                bus: SnoopBus::new(cfg.cmp.snoop_bus_cycles),
+                oracle: cfg.diffcheck.enabled.then(|| CoherenceOracle::new(n)),
+                d_line_mask: !(u64::from(cfg.l1d.line_words) - 1),
+                snoop_bus_cycles: cfg.cmp.snoop_bus_cycles as u64,
+                c2c_cycles: cfg.cmp.c2c_transfer_cycles as u64,
+                inv_cycles: cfg.cmp.invalidate_cycles as u64,
+            },
             cancel: None,
             cfg,
         })
@@ -269,9 +173,11 @@ impl CmpSimulator {
         );
         let level = self.cfg.mp.level;
         let slice = self.cfg.mp.time_slice_cycles;
-        for (core, traces) in self.cores.iter_mut().zip(per_core) {
-            core.sched = Scheduler::new(traces, level, slice);
-        }
+        self.scheds = per_core
+            .into_iter()
+            .map(|traces| Scheduler::new(traces, level, slice))
+            .collect();
+        let mut done = vec![false; self.cores.len()];
 
         let mut total_instructions = 0u64;
         let mut warm_snapshot: Option<Vec<Counters>> = None;
@@ -288,7 +194,10 @@ impl CmpSimulator {
         };
         let mut termination = Termination::Completed;
         let mut next_poll = next_warm.min(budget_limit).min(next_cancel_check);
-        let oracle_on = self.multi && self.oracle.is_some();
+        // The oracle must see every load hit, so it runs the memo-free
+        // (hooked) instantiation of the pipeline.
+        let hooked = self.protocol.oracle.is_some();
+        let oracle_on = self.cores.len() > 1 && hooked;
 
         loop {
             // Next core by functional-clock order, lowest id on ties
@@ -296,8 +205,8 @@ impl CmpSimulator {
             let mut active = usize::MAX;
             let mut best = u64::MAX;
             for (i, core) in self.cores.iter().enumerate() {
-                if !core.done && core.fnow < best {
-                    best = core.fnow;
+                if !done[i] && core.fnow() < best {
+                    best = core.fnow();
                     active = i;
                 }
             }
@@ -305,19 +214,17 @@ impl CmpSimulator {
                 break;
             }
             let c = active;
-            let fnow = self.cores[c].fnow;
-            let Some(instr) = self.cores[c].sched.next_instruction(fnow) else {
-                self.cores[c].done = true;
+            let Some(instr) = self.scheds[c].next_instruction(best) else {
+                done[c] = true;
                 continue;
             };
-            self.step_ifetch(c, &instr.ifetch);
-            if let Some(data) = instr.data {
-                self.step_data(c, &data);
+            if hooked {
+                self.step::<true>(c, &instr);
+            } else {
+                self.step::<false>(c, &instr);
             }
-            let fnow = self.cores[c].fnow;
-            self.cores[c]
-                .sched
-                .post_instruction(fnow, instr.ifetch.syscall);
+            let fnow = self.cores[c].fnow();
+            self.scheds[c].post_instruction(fnow, instr.ifetch.syscall);
             total_instructions += 1;
 
             if oracle_on {
@@ -333,7 +240,7 @@ impl CmpSimulator {
                     }
                 }
                 if total_instructions >= next_warm {
-                    warm_snapshot = Some(self.cores.iter().map(|core| core.counters).collect());
+                    warm_snapshot = Some(self.cores.iter().map(|core| *core.counters()).collect());
                     next_warm = u64::MAX;
                 }
                 if total_instructions >= budget_limit {
@@ -344,12 +251,13 @@ impl CmpSimulator {
             }
         }
 
-        for core in &mut self.cores {
-            core.counters.syscall_switches = core.sched.syscall_switches();
-            core.counters.slice_switches = core.sched.slice_switches();
+        for (core, sched) in self.cores.iter_mut().zip(&self.scheds) {
+            let counters = core.counters_mut();
+            counters.syscall_switches = sched.syscall_switches();
+            counters.slice_switches = sched.slice_switches();
             debug_assert_eq!(
-                core.now,
-                core.counters.total_cycles(),
+                core.now(),
+                core.counters().total_cycles(),
                 "per-core cycle accounting must balance"
             );
         }
@@ -358,8 +266,8 @@ impl CmpSimulator {
             .iter()
             .enumerate()
             .map(|(i, core)| match &warm_snapshot {
-                Some(snaps) => core.counters.since(&snaps[i]),
-                None => core.counters,
+                Some(snaps) => core.counters().since(&snaps[i]),
+                None => *core.counters(),
             })
             .collect();
         let merged = per_core.iter().fold(Counters::new(), |acc, c| acc.accum(c));
@@ -369,7 +277,7 @@ impl CmpSimulator {
         // all of them).
         let mut merged_pp: Vec<ProcCounters> = Vec::new();
         for core in &self.cores {
-            for (idx, p) in core.per_proc.iter().enumerate() {
+            for (idx, p) in core.per_proc().iter().enumerate() {
                 if merged_pp.len() <= idx {
                     merged_pp.resize(idx + 1, ProcCounters::default());
                 }
@@ -383,19 +291,14 @@ impl CmpSimulator {
                 m.l2_misses += p.l2_misses;
             }
         }
-        let per_process = merged_pp
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.instructions > 0 || p.loads > 0 || p.stores > 0)
-            .map(|(i, p)| (Pid::new(i as u8), *p))
-            .collect();
+        let per_process = active_processes(&merged_pp);
         let completed = self
-            .cores
+            .scheds
             .iter()
-            .flat_map(|core| core.sched.completed().iter().cloned())
+            .flat_map(|sched| sched.completed().iter().cloned())
             .collect();
 
-        crate::record_run(&merged, &self.bus);
+        crate::record_run(&merged, &self.protocol.bus);
         let result = SimResult {
             config: self.cfg.clone(),
             counters: merged,
@@ -410,232 +313,82 @@ impl CmpSimulator {
     /// Accesses the coherence oracle has checked so far (`None` when the
     /// oracle is disabled).
     pub fn oracle_checked(&self) -> Option<u64> {
-        self.oracle.as_ref().map(CoherenceOracle::checked)
+        self.protocol.oracle.as_ref().map(CoherenceOracle::checked)
     }
 
     fn take_violation(&mut self) -> Option<SimError> {
-        let v = self.oracle.as_ref()?.violation()?.clone();
+        let v = self.protocol.oracle.as_ref()?.violation()?.clone();
         Some(SimError::Coherence {
             core: v.core,
-            cycle: self.cores[v.core as usize].now,
+            cycle: self.cores[v.core as usize].now(),
             detail: v.detail,
         })
     }
 
-    // ---- per-core step functions ----
-    //
-    // These mirror the single-CPU simulator's uninstrumented paths
-    // statement for statement; the only additions are the
-    // `self.multi`-gated coherence calls, inserted before the write
-    // buffer / miss service chain of the data side.
-
-    fn translate(&mut self, c: usize, addr: VirtAddr) -> PhysAddr {
-        let key = addr.raw() >> PAGE_SHIFT;
-        let idx = (key as usize) & (TCACHE_WAYS - 1);
-        let (k, ppn) = self.cores[c].tcache[idx];
-        if k == key {
-            return PhysAddr::new((ppn << PAGE_SHIFT) | addr.page_offset());
+    /// Steps core `c` through one instruction of the shared pipeline,
+    /// with the coherence hook on its data access when other cores exist.
+    fn step<const HOOKS: bool>(&mut self, c: usize, instr: &Instruction) {
+        let (before, rest) = self.cores.split_at_mut(c);
+        let (core, after) = rest.split_first_mut().expect("active core exists");
+        core.step_ifetch::<HOOKS>(&mut self.back, &instr.ifetch);
+        let Some(data) = &instr.data else {
+            return;
+        };
+        if before.is_empty() && after.is_empty() {
+            core.step_data::<HOOKS, _>(&mut self.back, &mut NoCoherence, data);
+        } else {
+            let mut snoop = Snoop {
+                c,
+                before,
+                after,
+                p: &mut self.protocol,
+            };
+            core.step_data::<HOOKS, _>(&mut self.back, &mut snoop, data);
         }
-        let p = self.mapper.translate(addr);
-        self.cores[c].tcache[idx] = (key, p.ppn());
-        p
+    }
+}
+
+/// The coherence hook for one data access by core `c`: the protocol
+/// state plus every other core, split around the active one.
+struct Snoop<'a> {
+    c: usize,
+    before: &'a mut [Core],
+    after: &'a mut [Core],
+    p: &'a mut Protocol,
+}
+
+impl Snoop<'_> {
+    fn n_cores(&self) -> usize {
+        self.before.len() + 1 + self.after.len()
+    }
+
+    /// Remote core `m` (never `c`).
+    fn remote(&mut self, m: usize) -> &mut Core {
+        if m < self.c {
+            &mut self.before[m]
+        } else {
+            &mut self.after[m - self.c - 1]
+        }
     }
 
     /// This core's L1-D line base for `paddr` (the directory's tracking
     /// granularity).
-    fn d_line_base(&self, paddr: PhysAddr) -> PhysAddr {
-        PhysAddr::new(paddr.word() & !(self.d_line_words as u64 - 1))
+    fn line_of(&self, paddr: PhysAddr) -> PhysAddr {
+        PhysAddr::new(paddr.word() & self.p.d_line_mask)
     }
-
-    fn step_ifetch(&mut self, c: usize, ev: &TraceEvent) {
-        let mut cycles = 1 + ev.stall_cycles as u64;
-        let tlb_penalty = self.tlb_penalty;
-        let core = &mut self.cores[c];
-        let l2_before = core.counters.l2i_misses + core.counters.l2d_misses;
-        let mut missed = false;
-        core.counters.instructions += 1;
-        core.counters.cpu_stall_cycles += ev.stall_cycles as u64;
-        core.fnow += 1 + ev.stall_cycles as u64;
-
-        if !core.itlb.access(ev.addr) {
-            core.counters.itlb_misses += 1;
-            core.counters.tlb_miss_cycles += tlb_penalty;
-            cycles += tlb_penalty;
-        }
-        let paddr = self.translate(c, ev.addr);
-
-        if self.cores[c].l1i.touch(paddr).is_none() {
-            self.cores[c].counters.l1i_misses += 1;
-            missed = true;
-            let mut t = self.cores[c].now + cycles;
-            if !self.concurrent_i_refill {
-                let empty = self.cores[c].wb.empty_at(t);
-                let wait = empty - t;
-                self.cores[c].counters.wb_wait_cycles += wait;
-                cycles += wait;
-                t = empty;
-            }
-            cycles += self.service_i_miss(c, t, paddr);
-        }
-        self.cores[c].now += cycles;
-
-        let core = &mut self.cores[c];
-        let l2_after = core.counters.l2i_misses + core.counters.l2d_misses;
-        let p = proc_entry(&mut core.per_proc, ev.addr.pid());
-        p.instructions += 1;
-        p.cycles += cycles;
-        if missed {
-            p.l1i_misses += 1;
-        }
-        p.l2_misses += l2_after - l2_before;
-    }
-
-    fn step_data(&mut self, c: usize, ev: &TraceEvent) {
-        match ev.kind {
-            AccessKind::Load => self.step_load(c, ev),
-            AccessKind::Store => self.step_store(c, ev),
-            AccessKind::IFetch => unreachable!("data step on a fetch"),
-        }
-    }
-
-    fn step_load(&mut self, c: usize, ev: &TraceEvent) {
-        let mut cycles = 0u64;
-        let tlb_penalty = self.tlb_penalty;
-        let core = &mut self.cores[c];
-        let l2_before = core.counters.l2i_misses + core.counters.l2d_misses;
-        core.counters.loads += 1;
-        if !core.dtlb.access(ev.addr) {
-            core.counters.dtlb_misses += 1;
-            core.counters.tlb_miss_cycles += tlb_penalty;
-            cycles += tlb_penalty;
-        }
-        let paddr = self.translate(c, ev.addr);
-
-        let outcome = self.cores[c].l1d.load(paddr);
-        if outcome.hit {
-            if self.multi && self.oracle.is_some() {
-                let line = self.d_line_base(paddr);
-                if let Some(o) = self.oracle.as_mut() {
-                    o.check_load_hit(c, line);
-                }
-            }
-        } else {
-            self.cores[c].counters.l1d_read_misses += 1;
-            let line_base = outcome.fetch.expect("miss implies fetch");
-            if self.multi {
-                cycles += self.coherence_load_fill(c, self.cores[c].now + cycles, line_base);
-            }
-            let mut t = self.cores[c].now + cycles;
-            let wait = self.wb_wait_for_d_miss(c, t, line_base, outcome.replaced_written_line);
-            cycles += wait;
-            t += wait;
-            if let Some(victim) = outcome.writeback_victim {
-                let stall = self.enqueue_write(c, t, victim);
-                cycles += stall;
-                t += stall;
-            }
-            cycles += self.service_d_miss(c, t, line_base);
-        }
-        self.cores[c].now += cycles;
-
-        let core = &mut self.cores[c];
-        let l2_after = core.counters.l2i_misses + core.counters.l2d_misses;
-        let p = proc_entry(&mut core.per_proc, ev.addr.pid());
-        p.loads += 1;
-        p.cycles += cycles;
-        if !outcome.hit {
-            p.l1d_misses += 1;
-        }
-        p.l2_misses += l2_after - l2_before;
-    }
-
-    fn step_store(&mut self, c: usize, ev: &TraceEvent) {
-        let mut cycles = 0u64;
-        let tlb_penalty = self.tlb_penalty;
-        let core = &mut self.cores[c];
-        let l2_before = core.counters.l2i_misses + core.counters.l2d_misses;
-        core.counters.stores += 1;
-        if !core.dtlb.access(ev.addr) {
-            core.counters.dtlb_misses += 1;
-            core.counters.tlb_miss_cycles += tlb_penalty;
-            cycles += tlb_penalty;
-        }
-        let paddr = self.translate(c, ev.addr);
-
-        // The pre-store MESI state must be read before the array changes
-        // (a write-allocate fill would make a stale directory bit look
-        // freshly resident).
-        let line = self.d_line_base(paddr);
-        let prev_local = if self.multi {
-            let resident = self.cores[c].l1d.array().contains(line);
-            self.dir.heal(line, c, resident)
-        } else {
-            MesiState::Invalid
-        };
-
-        let outcome = self.cores[c].l1d.store(paddr, ev.partial_word);
-        if !outcome.hit {
-            self.cores[c].counters.l1d_write_misses += 1;
-        }
-        if outcome.extra_cycle {
-            self.cores[c].counters.l1_write_cycles += 1;
-            cycles += 1;
-            self.cores[c].fnow += 1;
-        }
-        if self.multi {
-            cycles += self.coherence_store(c, self.cores[c].now + cycles, line, prev_local);
-        }
-        let mut t = self.cores[c].now + cycles;
-
-        if let Some(word) = outcome.wb_word {
-            let stall = self.enqueue_write(c, t, word);
-            cycles += stall;
-            t += stall;
-        }
-        if let Some(line_base) = outcome.fetch {
-            let wait = self.wb_wait_for_d_miss(c, t, line_base, outcome.replaced_written_line);
-            cycles += wait;
-            t += wait;
-            if let Some(victim) = outcome.writeback_victim {
-                let stall = self.enqueue_write(c, t, victim);
-                cycles += stall;
-                t += stall;
-            }
-            cycles += self.service_d_miss(c, t, line_base);
-        } else if let Some(victim) = outcome.writeback_victim {
-            let stall = self.enqueue_write(c, t, victim);
-            cycles += stall;
-        }
-        self.cores[c].now += cycles;
-
-        let core = &mut self.cores[c];
-        let l2_after = core.counters.l2i_misses + core.counters.l2d_misses;
-        let p = proc_entry(&mut core.per_proc, ev.addr.pid());
-        p.stores += 1;
-        p.cycles += cycles;
-        if !outcome.hit {
-            p.l1d_misses += 1;
-        }
-        p.l2_misses += l2_after - l2_before;
-    }
-
-    // ---- coherence actions (multi-core only) ----
 
     /// Collects the healed remote sharers of `line` (cores other than
     /// `c` whose L1-D actually holds it).
     fn remote_sharers(
         &mut self,
-        c: usize,
         line: PhysAddr,
     ) -> ([(usize, MesiState); MAX_CORES as usize], usize) {
         let mut remotes = [(0usize, MesiState::Invalid); MAX_CORES as usize];
         let mut nr = 0;
-        for m in 0..self.cores.len() {
-            if m == c {
-                continue;
-            }
-            let resident = self.cores[m].l1d.array().contains(line);
-            let st = self.dir.heal(line, m, resident);
+        let c = self.c;
+        for m in (0..self.n_cores()).filter(|&m| m != c) {
+            let resident = self.remote(m).holds_d_line(line);
+            let st = self.p.dir.heal(line, m, resident);
             if st != MesiState::Invalid {
                 remotes[nr] = (m, st);
                 nr += 1;
@@ -643,34 +396,47 @@ impl CmpSimulator {
         }
         (remotes, nr)
     }
+}
+
+impl CoherenceHook for Snoop<'_> {
+    /// The stored line and the local MESI state before the store.
+    type Pending = (PhysAddr, MesiState);
+
+    fn load_hit(&mut self, paddr: PhysAddr) {
+        let line = self.line_of(paddr);
+        if let Some(o) = self.p.oracle.as_mut() {
+            o.check_load_hit(self.c, line);
+        }
+    }
 
     /// MESI bookkeeping + cost for a load miss that just filled `line`
-    /// on core `c` at time `t0`; returns the coherence stall.
-    fn coherence_load_fill(&mut self, c: usize, t0: u64, line: PhysAddr) -> u64 {
-        let (remotes, nr) = self.remote_sharers(c, line);
+    /// at time `t0`; returns the coherence stall.
+    fn load_fill(&mut self, core: &mut Core, back: &mut Backside, t0: u64, line: PhysAddr) -> u64 {
+        let c = self.c;
+        let (remotes, nr) = self.remote_sharers(line);
         let mut charge = 0u64;
         if nr > 0 {
             // Remote copies exist: the read goes on the snoop bus so the
             // owners can demote (and a Modified owner can supply).
-            let g = self.bus.transact(c as u32, t0);
-            charge += g.wait + self.snoop_bus_cycles;
+            let g = self.p.bus.transact(c as u32, t0);
+            charge += g.wait + self.p.snoop_bus_cycles;
             for &(m, st) in &remotes[..nr] {
                 match st {
                     MesiState::Modified => {
-                        self.cores[c].counters.c2c_transfers += 1;
-                        charge += self.c2c_cycles;
+                        core.counters_mut().c2c_transfers += 1;
+                        charge += self.p.c2c_cycles;
                         // The owner's writeback lands in the shared L2-D.
-                        self.l2_dirty_d(line);
+                        back.mark_l2d_dirty(line);
                         let ns = next_state(st, MesiEvent::RemoteRead)
                             .expect("M -> RemoteRead is legal");
-                        self.dir.set(line, m, ns);
-                        self.cores[m].counters.mesi_to_s += 1;
+                        self.p.dir.set(line, m, ns);
+                        self.remote(m).counters_mut().mesi_to_s += 1;
                     }
                     MesiState::Exclusive => {
                         let ns = next_state(st, MesiEvent::RemoteRead)
                             .expect("E -> RemoteRead is legal");
-                        self.dir.set(line, m, ns);
-                        self.cores[m].counters.mesi_to_s += 1;
+                        self.p.dir.set(line, m, ns);
+                        self.remote(m).counters_mut().mesi_to_s += 1;
                     }
                     MesiState::Shared => {}
                     MesiState::Invalid => unreachable!("healed sharers are valid"),
@@ -683,24 +449,38 @@ impl CmpSimulator {
             MesiEvent::FillExclusive
         };
         let ns = next_state(MesiState::Invalid, fill).expect("fill from I is legal");
-        self.dir.set(line, c, ns);
+        self.p.dir.set(line, c, ns);
+        let counters = core.counters_mut();
         match ns {
-            MesiState::Shared => self.cores[c].counters.mesi_to_s += 1,
-            MesiState::Exclusive => self.cores[c].counters.mesi_to_e += 1,
+            MesiState::Shared => counters.mesi_to_s += 1,
+            MesiState::Exclusive => counters.mesi_to_e += 1,
             _ => unreachable!("fills produce E or S"),
         }
-        if let Some(o) = self.oracle.as_mut() {
+        counters.coherence_stall_cycles += charge;
+        if let Some(o) = self.p.oracle.as_mut() {
             o.note_fill(c, line);
         }
-        self.cores[c].counters.coherence_stall_cycles += charge;
         charge
     }
 
-    /// MESI bookkeeping + cost for a store by core `c` to `line` at time
-    /// `t0` (`prev_local` read before the array changed); returns the
+    fn before_store(&mut self, core: &Core, paddr: PhysAddr) -> Self::Pending {
+        let line = self.line_of(paddr);
+        let resident = core.holds_d_line(line);
+        (line, self.p.dir.heal(line, self.c, resident))
+    }
+
+    /// MESI bookkeeping + cost for a store to `line` at time `t0`
+    /// (`prev_local` read before the array changed); returns the
     /// coherence stall.
-    fn coherence_store(&mut self, c: usize, t0: u64, line: PhysAddr, prev_local: MesiState) -> u64 {
-        let (remotes, nr) = self.remote_sharers(c, line);
+    fn store(
+        &mut self,
+        core: &mut Core,
+        back: &mut Backside,
+        t0: u64,
+        (line, prev_local): Self::Pending,
+    ) -> u64 {
+        let c = self.c;
+        let (remotes, nr) = self.remote_sharers(line);
         let mut charge = 0u64;
         // The directory filters: only stores that must reach another
         // core's cache (invalidation round) or announce an upgrade of a
@@ -708,227 +488,66 @@ impl CmpSimulator {
         // are silent, and store misses with no sharers are satisfied by
         // the L2 write path alone.
         if nr > 0 || prev_local == MesiState::Shared {
-            let g = self.bus.transact(c as u32, t0);
-            charge += g.wait + self.snoop_bus_cycles;
+            let g = self.p.bus.transact(c as u32, t0);
+            charge += g.wait + self.p.snoop_bus_cycles;
             for &(m, st) in &remotes[..nr] {
                 debug_assert!(
                     next_state(st, MesiEvent::RemoteWrite).is_ok(),
                     "remote write is legal in every valid state"
                 );
-                let evicted = self.cores[m].l1d.array_mut().invalidate(line);
-                if let Some(victim) = evicted {
-                    self.cores[c].counters.invalidations += 1;
-                    self.cores[m].counters.mesi_to_i += 1;
-                    charge += self.inv_cycles;
-                    if victim.dirty {
+                if let Some(dirty) = self.remote(m).invalidate_d_line(line) {
+                    core.counters_mut().invalidations += 1;
+                    self.remote(m).counters_mut().mesi_to_i += 1;
+                    charge += self.p.inv_cycles;
+                    if dirty {
                         // A Modified copy's data is flushed to L2-D as
                         // part of the invalidation.
-                        self.l2_dirty_d(line);
+                        back.mark_l2d_dirty(line);
                     }
                 }
-                self.dir.set(line, m, MesiState::Invalid);
-                if let Some(o) = self.oracle.as_mut() {
-                    let still = self.cores[m].l1d.array().contains(line);
-                    o.note_invalidate(m, line, still);
+                self.p.dir.set(line, m, MesiState::Invalid);
+                if self.p.oracle.is_some() {
+                    let still = self.remote(m).holds_d_line(line);
+                    if let Some(o) = self.p.oracle.as_mut() {
+                        o.note_invalidate(m, line, still);
+                    }
                 }
             }
             if prev_local == MesiState::Shared {
-                self.cores[c].counters.upgrade_misses += 1;
+                core.counters_mut().upgrade_misses += 1;
             }
         }
         // Final local state: Modified when the line is resident after
         // the store (hit, or write-allocate fill); a non-allocating
         // store miss leaves it Invalid while still having invalidated
         // the remote copies.
-        let resident = self.cores[c].l1d.array().contains(line);
+        let resident = core.holds_d_line(line);
         let new_local = if resident {
             MesiState::Modified
         } else {
             MesiState::Invalid
         };
         if resident && prev_local != MesiState::Modified {
-            self.cores[c].counters.mesi_to_m += 1;
+            core.counters_mut().mesi_to_m += 1;
         }
-        self.dir.set(line, c, new_local);
-        if let Some(o) = self.oracle.as_mut() {
-            o.note_store(c, line);
-        }
-        if self.oracle.is_some() {
+        self.p.dir.set(line, c, new_local);
+        if self.p.oracle.is_some() {
             // SWMR: after the invalidation round no other core may hold
             // the line, whatever state the directory claims.
             let mut offenders = [0usize; MAX_CORES as usize];
             let mut no = 0;
-            for m in 0..self.cores.len() {
-                if m != c && self.cores[m].l1d.array().contains(line) {
+            for m in (0..self.n_cores()).filter(|&m| m != c) {
+                if self.remote(m).holds_d_line(line) {
                     offenders[no] = m;
                     no += 1;
                 }
             }
-            if let Some(o) = self.oracle.as_mut() {
+            if let Some(o) = self.p.oracle.as_mut() {
+                o.note_store(c, line);
                 o.check_swmr(c, line, &offenders[..no]);
             }
         }
-        self.cores[c].counters.coherence_stall_cycles += charge;
+        core.counters_mut().coherence_stall_cycles += charge;
         charge
     }
-
-    // ---- shared-L2 / memory service (identical to the single-CPU
-    // simulator, with counters attributed to the requesting core) ----
-
-    fn l2_touch_i(&mut self, addr: PhysAddr) -> bool {
-        match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { i: a, .. } => a.touch(addr).is_some(),
-        }
-    }
-
-    fn l2_touch_d(&mut self, addr: PhysAddr) -> bool {
-        match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { d: a, .. } => a.touch(addr).is_some(),
-        }
-    }
-
-    fn l2_fill_i(&mut self, addr: PhysAddr) -> bool {
-        match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { i: a, .. } => {
-                a.fill(addr).is_some_and(|e| e.dirty)
-            }
-        }
-    }
-
-    fn l2_fill_d(&mut self, addr: PhysAddr) -> bool {
-        match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { d: a, .. } => {
-                a.fill(addr).is_some_and(|e| e.dirty)
-            }
-        }
-    }
-
-    fn l2_dirty_d(&mut self, addr: PhysAddr) {
-        let (L2Arrays::Unified(a) | L2Arrays::Split { d: a, .. }) = &mut self.l2;
-        if let Some(mut line) = a.touch(addr) {
-            line.set_dirty(true);
-        }
-    }
-
-    fn service_i_miss(&mut self, c: usize, start: u64, paddr: PhysAddr) -> u64 {
-        self.cores[c].counters.l2i_accesses += 1;
-        let hit_cost = self.i_hit_cost as u64;
-        if self.l2_touch_i(paddr) {
-            self.cores[c].counters.l1i_miss_cycles += hit_cost;
-            self.cores[c].fnow += self.ref_i_hit_cost as u64;
-            self.cores[c].l1i.fill(paddr);
-            return hit_cost;
-        }
-        self.cores[c].counters.l2i_misses += 1;
-        let dirty_victim = self.l2_fill_i(paddr);
-        self.cores[c].fnow += if dirty_victim {
-            REF_MEM_DIRTY
-        } else {
-            REF_MEM_CLEAN
-        };
-        let svc = if self.split_l2 {
-            self.mem_i.service_miss(start, dirty_victim)
-        } else {
-            self.mem_d.service_miss(start, dirty_victim)
-        };
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        let counters = &mut self.cores[c].counters;
-        counters.l1i_miss_cycles += l1_share;
-        counters.l2i_miss_cycles += service - l1_share;
-        counters.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
-        self.cores[c].l1i.fill(paddr);
-        svc.stall_cycles
-    }
-
-    fn service_d_miss(&mut self, c: usize, start: u64, line_base: PhysAddr) -> u64 {
-        self.cores[c].counters.l2d_accesses += 1;
-        let hit_cost = self.d_hit_cost as u64;
-        if self.l2_touch_d(line_base) {
-            self.cores[c].counters.l1d_miss_cycles += hit_cost;
-            self.cores[c].fnow += self.ref_d_hit_cost as u64;
-            return hit_cost;
-        }
-        self.cores[c].counters.l2d_misses += 1;
-        let dirty_victim = self.l2_fill_d(line_base);
-        self.cores[c].fnow += if dirty_victim {
-            REF_MEM_DIRTY
-        } else {
-            REF_MEM_CLEAN
-        };
-        let svc = self.mem_d.service_miss(start, dirty_victim);
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        let counters = &mut self.cores[c].counters;
-        counters.l1d_miss_cycles += l1_share;
-        counters.l2d_miss_cycles += service - l1_share;
-        counters.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
-        svc.stall_cycles
-    }
-
-    fn wb_wait_for_d_miss(
-        &mut self,
-        c: usize,
-        start: u64,
-        line_base: PhysAddr,
-        replaced_written: bool,
-    ) -> u64 {
-        let line_words = self.d_line_words;
-        let core = &mut self.cores[c];
-        let until = match self.d_read_bypass {
-            WbBypass::Wait => core.wb.empty_at(start),
-            WbBypass::DirtyBit => {
-                if replaced_written {
-                    core.wb.empty_at(start)
-                } else {
-                    start
-                }
-            }
-            WbBypass::Associative => core
-                .wb
-                .match_line(start, line_base, line_words)
-                .map_or(start, |t| t.max(start)),
-        };
-        let wait = until - start;
-        core.counters.wb_wait_cycles += wait;
-        wait
-    }
-
-    fn enqueue_write(&mut self, c: usize, start: u64, addr: PhysAddr) -> u64 {
-        let free_at = self.cores[c].wb.slot_free_at(start);
-        let stall = free_at - start;
-        self.cores[c].counters.wb_wait_cycles += stall;
-        let extra = self.drain_l2_penalty(c, addr);
-        let core = &mut self.cores[c];
-        let busy_from = free_at.max(core.wb.last_completion());
-        let completes = core.wb.enqueue(
-            free_at,
-            addr,
-            self.d_write_access,
-            self.d_write_stream,
-            extra,
-        );
-        core.counters.l2_drain_busy_cycles += completes - busy_from;
-        stall
-    }
-
-    fn drain_l2_penalty(&mut self, c: usize, addr: PhysAddr) -> u32 {
-        self.cores[c].counters.l2_drain_writes += 1;
-        if self.l2_touch_d(addr) {
-            self.l2_dirty_d(addr);
-            return 0;
-        }
-        self.cores[c].counters.l2_drain_misses += 1;
-        let dirty_victim = self.l2_fill_d(addr);
-        self.l2_dirty_d(addr);
-        self.mem_d.service_miss_raw(dirty_victim).stall_cycles as u32
-    }
-}
-
-fn proc_entry(per_proc: &mut Vec<ProcCounters>, pid: Pid) -> &mut ProcCounters {
-    let idx = pid.raw() as usize;
-    if per_proc.len() <= idx {
-        per_proc.resize(idx + 1, ProcCounters::default());
-    }
-    &mut per_proc[idx]
 }

@@ -16,9 +16,9 @@
 //!   traffic (disjoint workloads generate zero coherence traffic);
 //! * [`oracle`] — a passive version-shadow oracle for the coherence
 //!   invariants (SWMR, no stale read, inclusion under invalidation);
-//! * [`cmp`] — the [`cmp::CmpSimulator`] engine: N replicas of the
-//!   single-CPU simulator's per-core state over the shared L2, with the
-//!   **byte-identical 1-core anchor** to [`gaas_sim::Simulator`].
+//! * [`cmp`] — the [`cmp::CmpSimulator`] engine: N instances of the
+//!   single-CPU simulator's per-core pipeline over the shared L2, with
+//!   the **byte-identical 1-core anchor** to [`gaas_sim::Simulator`].
 //!
 //! Process-wide coherence totals are aggregated across runs (the same
 //! pattern as the experiment layer's memo statistics) for the serve

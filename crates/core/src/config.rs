@@ -828,21 +828,92 @@ impl SimConfig {
             return Err(ConfigError::ZeroSharedFootprint);
         }
         if self.cmp.enabled() {
-            if self.fault.enabled() {
-                return Err(ConfigError::CmpWithFaultInjection);
-            }
-            if self.telemetry.enabled {
-                return Err(ConfigError::CmpWithTelemetry);
-            }
-            if self.checkpoint_interval != 0 {
-                return Err(ConfigError::CmpWithCheckpointing);
-            }
-            if self.diffcheck.seeded_bug.is_some() {
-                return Err(ConfigError::CmpWithSeededBug);
-            }
+            self.check_cmp_support()?;
         }
         Ok(())
     }
+
+    /// Refuses the features the CMP engine does not implement: fault
+    /// injection, telemetry, checkpointing and seeded oracle bugs.
+    /// [`SimConfig::validate`] applies it to CMP-enabled configurations;
+    /// the CMP engine applies it to every configuration it is handed,
+    /// since a plain 1-core configuration could still carry them.
+    ///
+    /// # Errors
+    ///
+    /// Returns the matching `CmpWith*` [`ConfigError`].
+    pub fn check_cmp_support(&self) -> Result<(), ConfigError> {
+        if self.fault.enabled() {
+            return Err(ConfigError::CmpWithFaultInjection);
+        }
+        if self.telemetry.enabled {
+            return Err(ConfigError::CmpWithTelemetry);
+        }
+        if self.checkpoint_interval != 0 {
+            return Err(ConfigError::CmpWithCheckpointing);
+        }
+        if self.diffcheck.seeded_bug.is_some() {
+            return Err(ConfigError::CmpWithSeededBug);
+        }
+        Ok(())
+    }
+
+    /// The cycle costs this configuration's timing point derives for the
+    /// miss-service and drain rules (the one place they are derived).
+    ///
+    /// An L1 miss serviced from L2 costs the side's access time for the
+    /// first 4 W beat plus one cycle per further beat of the L1 line.
+    /// Drains write at the data side's access time (or the Fig. 5
+    /// override), and a streamed drain overlaps the 2-cycle latency.
+    pub fn service_costs(&self) -> ServiceCosts {
+        let beats = |line_words: u32| line_words.div_ceil(4);
+        let i_beats = beats(self.l1i.line_words) - 1;
+        let d_beats = beats(self.l1d.line_words) - 1;
+        let drain_access = self
+            .l2_drain_access_override
+            .unwrap_or(self.l2.d_side().access_cycles);
+        ServiceCosts {
+            i_hit: self.l2.i_side().access_cycles + i_beats,
+            d_hit: self.l2.d_side().access_cycles + d_beats,
+            ref_i_hit: REF_L2_ACCESS as u32 + i_beats,
+            ref_d_hit: REF_L2_ACCESS as u32 + d_beats,
+            drain_access,
+            drain_stream: drain_access.saturating_sub(2).max(1),
+        }
+    }
+}
+
+/// Reference constants the functional clock advances by. They mirror the
+/// paper's base architecture (6-cycle L2 access, 143/237-cycle memory
+/// penalties) but are deliberately *fixed*, not read from the
+/// configuration: the functional clock must be invariant across the
+/// timing axis of a sweep.
+pub const REF_L2_ACCESS: u64 = 6;
+/// Functional-clock advance for an L2 miss with a clean victim (see
+/// [`REF_L2_ACCESS`]).
+pub const REF_MEM_CLEAN: u64 = 143;
+/// Functional-clock advance for an L2 miss with a dirty victim (see
+/// [`REF_L2_ACCESS`]).
+pub const REF_MEM_DIRTY: u64 = 237;
+
+/// Cycle costs derived from a configuration's timing point (see
+/// [`SimConfig::service_costs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServiceCosts {
+    /// L1-I miss serviced by an L2 hit.
+    pub i_hit: u32,
+    /// L1-D miss serviced by an L2 hit.
+    pub d_hit: u32,
+    /// [`ServiceCosts::i_hit`] at the functional clock's fixed
+    /// [`REF_L2_ACCESS`].
+    pub ref_i_hit: u32,
+    /// [`ServiceCosts::d_hit`] at the functional clock's fixed
+    /// [`REF_L2_ACCESS`].
+    pub ref_d_hit: u32,
+    /// L2-D write access of an isolated write-buffer drain.
+    pub drain_access: u32,
+    /// L2-D occupancy of a drain streamed behind the previous one.
+    pub drain_stream: u32,
 }
 
 impl Default for SimConfig {

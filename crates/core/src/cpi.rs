@@ -360,6 +360,16 @@ pub struct ProcCounters {
     pub l2_misses: u64,
 }
 
+/// The rows of a PID-indexed per-process table that saw any event,
+/// tagged with their PIDs (the `per_process` list of a result).
+pub fn active_processes(rows: &[ProcCounters]) -> Vec<(gaas_trace::Pid, ProcCounters)> {
+    rows.iter()
+        .enumerate()
+        .filter(|(_, p)| p.instructions > 0 || p.loads > 0 || p.stores > 0)
+        .map(|(i, p)| (gaas_trace::Pid::new(i as u8), *p))
+        .collect()
+}
+
 impl ProcCounters {
     /// Cycles per instruction for this process.
     pub fn cpi(&self) -> f64 {

@@ -43,6 +43,8 @@
 //!   [`config::SimConfig::baseline`] / [`config::SimConfig::optimized`]
 //!   presets;
 //! * [`sim`] — the engine and [`sim::SimResult`];
+//! * [`pipeline`] — the per-core L1 pipeline (one copy of the cycle
+//!   rules) that the single-CPU engine and the CMP engine both own;
 //! * [`cpi`] — counters and the Fig. 4 CPI breakdown;
 //! * [`sched`] — the §3 multiprogramming scheduler;
 //! * [`workload`] — ready-made Table 1 workloads;
@@ -53,6 +55,7 @@
 pub mod config;
 pub mod cpi;
 pub mod oracle;
+pub mod pipeline;
 pub mod profile;
 pub mod report;
 pub mod sched;
@@ -61,11 +64,12 @@ pub mod workload;
 
 pub use config::{
     CmpConfig, ConcurrencyConfig, ConfigError, DiffCheckConfig, FaultConfig, L1Config, L2Config,
-    L2Side, MachineCheckPolicy, MpConfig, SeededBug, SeededBugSpec, SimConfig, SimConfigBuilder,
-    TelemetryConfig, WbBypass, WriteBufferConfig, MAX_CORES,
+    L2Side, MachineCheckPolicy, MpConfig, SeededBug, SeededBugSpec, ServiceCosts, SimConfig,
+    SimConfigBuilder, TelemetryConfig, WbBypass, WriteBufferConfig, MAX_CORES,
 };
 pub use cpi::{Counters, CpiBreakdown, ProcCounters};
 pub use oracle::{config_fingerprint, DivergenceKind, DivergenceReport};
+pub use pipeline::{Backside, CoherenceHook, Core, NoCoherence};
 pub use profile::{functional_fingerprint, price_profile, price_profiles, FunctionalProfile};
 pub use sched::SchedSnapshot;
 pub use sim::{

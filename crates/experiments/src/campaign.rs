@@ -1164,10 +1164,6 @@ pub fn dispatch(cfg: &SimConfig, scale: f64) -> CellResult {
     }
 }
 
-/// Runs every member of a group as its own full isolated simulation (the
-/// non-memoized path: singleton groups, memoization off, and the
-/// fallback after any group failure). Each result carries its
-/// retryable-failure tag for the quarantine decision.
 /// Prices every config in `cfgs` from one [`FunctionalProfile`] — the
 /// single pricing path both of [`run_group`]'s memoized branches
 /// (cross-request cache hit; miss after the lead's functional pass) go
@@ -1210,6 +1206,10 @@ fn price_members(
     }
 }
 
+/// Runs every member of a group as its own full isolated simulation (the
+/// non-memoized path: singleton groups, memoization off, and the
+/// fallback after any group failure). Each result carries its
+/// retryable-failure tag for the quarantine decision.
 fn run_members_individually(
     cfgs: &[SimConfig],
     members: &[usize],

@@ -1,7 +1,7 @@
 //! Co-pricing differential: [`price_profiles`] (one streaming token
 //! replay, N variant lanes in lockstep) must produce `SimResult`s
-//! byte-identical to per-variant [`price_profile`] across a seeded sweep
-//! of geometry groups with mixed lane counts (1, 2, 4, 7), and the
+//! byte-identical to a full simulation of every variant across a seeded
+//! sweep of geometry groups with mixed lane counts (1, 2, 4, 7), and the
 //! campaign fallback path — a group containing a lane the co-pricer
 //! rejects — must leave the sweep byte-identical to the non-memoized
 //! run while reporting the fallback in [`campaign::MemoStats`].
@@ -18,8 +18,8 @@ use gaas_experiments::campaign::{self, CellResult};
 use gaas_experiments::runner;
 use gaas_sim::config::{L2Config, SimConfig};
 use gaas_sim::{
-    functional_fingerprint, price_profile, price_profiles, workload, ConcurrencyConfig, FaultRates,
-    SimResult, Simulator, WbBypass, WritePolicy,
+    functional_fingerprint, price_profiles, workload, ConcurrencyConfig, FaultRates, SimResult,
+    Simulator, WbBypass, WritePolicy,
 };
 
 /// Serializes the campaign-global tests and restores defaults on panic.
@@ -128,17 +128,17 @@ fn timing_variant(base: &SimConfig, i: usize) -> SimConfig {
     b.build().expect("timing variant must stay valid")
 }
 
-fn assert_result_identical(co: &SimResult, single: &SimResult, what: &str) {
-    assert_eq!(co.counters, single.counters, "{what}: counters");
-    assert_eq!(co.per_process, single.per_process, "{what}: per-process");
-    assert_eq!(co.completed, single.completed, "{what}: completed");
-    assert_eq!(co.termination, single.termination, "{what}: termination");
-    assert_eq!(co.config, single.config, "{what}: config echo");
+fn assert_result_identical(co: &SimResult, reference: &SimResult, what: &str) {
+    assert_eq!(co.counters, reference.counters, "{what}: counters");
+    assert_eq!(co.per_process, reference.per_process, "{what}: per-process");
+    assert_eq!(co.completed, reference.completed, "{what}: completed");
+    assert_eq!(co.termination, reference.termination, "{what}: termination");
+    assert_eq!(co.config, reference.config, "{what}: config echo");
 }
 
 /// The tentpole differential: for eight geometry groups with lane counts
-/// cycling through 1, 2, 4, and 7, one co-priced pass must match
-/// per-variant single-lane pricing byte for byte.
+/// cycling through 1, 2, 4, and 7, one co-priced pass must match a full
+/// simulation of every variant byte for byte.
 #[test]
 fn copriced_groups_match_per_variant_pricing() {
     let geoms = geometries();
@@ -162,8 +162,11 @@ fn copriced_groups_match_per_variant_pricing() {
         let co = price_profiles(&cfgs, &profile).expect("co-priced group");
         assert_eq!(co.len(), lanes);
         for (l, (co_r, cfg)) in co.iter().zip(&cfgs).enumerate() {
-            let single = price_profile(cfg, &profile).expect("single-lane pricing");
-            assert_result_identical(co_r, &single, &format!("group {g} lane {l}"));
+            let full = Simulator::new(cfg.clone())
+                .expect("valid variant")
+                .run_warmed(workload::subset(4, SCALE), WARMUP)
+                .expect("full simulation");
+            assert_result_identical(co_r, &full, &format!("group {g} lane {l}"));
         }
     }
 }

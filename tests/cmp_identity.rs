@@ -1,7 +1,7 @@
 //! The CMP engine's correctness anchor: a 1-core CMP run is
 //! **byte-identical** to the validated single-CPU simulator.
 //!
-//! Three angles:
+//! Four angles:
 //!
 //! * **identity fuzz** — seeded random configurations (L2 organization,
 //!   write policy, drain timing, multiprogramming level all vary) run
@@ -13,7 +13,10 @@
 //!   works, and coherence CPI scales with sharing, not core count;
 //! * **oracle smoke** — a 2-core run with real sharing and the
 //!   coherence oracle enabled completes with zero invariant violations
-//!   while actually exercising the protocol (invalidations observed).
+//!   while actually exercising the protocol (invalidations observed);
+//! * **multi-core pins** — 2- and 4-core runs over seeded sharing
+//!   streams (one with the oracle on) and a hand-built
+//!   invalidate-then-reload case reproduce recorded counter digests.
 
 use gaas_experiments::runner;
 use gaas_sim::config::SimConfig;
@@ -139,5 +142,146 @@ fn coherence_counters_accumulate_into_process_totals() {
     assert!(
         after.invalidations - before.invalidations >= r.result.counters.invalidations,
         "run's invalidations folded into the process totals"
+    );
+}
+
+// ---- multi-core pins ----
+//
+// The identity fuzz above cannot see a drift that only shows with two or
+// more cores. These runs pin the complete multi-core result (merged and
+// per-core counters, per-process rows, completion order) to digests
+// recorded from the engine before its per-core pipeline was shared with
+// the single-CPU simulator.
+
+/// FNV-1a over the debug rendering of everything a CMP run reports.
+fn cmp_digest(r: &gaas_coherence::CmpResult) -> u64 {
+    let text = format!(
+        "{:?}|{:?}|{:?}|{:?}|{:?}",
+        r.result.counters,
+        r.per_core,
+        r.result.per_process,
+        r.result.completed,
+        r.result.termination
+    );
+    text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs `cfg` over the first six suite benchmarks, dealt round-robin to
+/// the configured cores and decorated with shared-segment references
+/// drawn from `seed`.
+fn pinned_run(cfg: &SimConfig, seed: u64) -> gaas_coherence::CmpResult {
+    use gaas_trace::{SharingSpec, SharingTrace, Trace};
+    let n = cfg.cmp.cores as usize;
+    let spec = SharingSpec {
+        shared_frac: cfg.cmp.shared_frac,
+        shared_words: cfg.cmp.shared_words,
+        migration_interval: cfg.cmp.migration_interval,
+        cores: cfg.cmp.cores,
+        seed,
+    };
+    let mut per_core: Vec<Vec<Box<dyn Trace>>> = (0..n).map(|_| Vec::new()).collect();
+    for (i, trace) in gaas_sim::workload::subset(6, 2e-4).into_iter().enumerate() {
+        let core = i % n;
+        per_core[core].push(Box::new(SharingTrace::new(trace, core as u32, &spec)));
+    }
+    gaas_coherence::CmpSimulator::new(cfg.clone())
+        .expect("valid CMP config")
+        .run_warmed(per_core, 2_000)
+        .expect("CMP run")
+}
+
+fn sharing_config(cores: u32) -> SimConfig {
+    let mut cfg = SimConfig::baseline();
+    cfg.cmp = CmpConfig {
+        cores,
+        shared_frac: 0.15,
+        shared_words: 8_192,
+        migration_interval: 256,
+        ..CmpConfig::default()
+    };
+    cfg
+}
+
+#[test]
+fn two_and_four_core_runs_reproduce_their_pinned_digests() {
+    let two = sharing_config(2);
+    let mut four = SimConfig::optimized();
+    four.policy = WritePolicy::WriteOnly;
+    four.cmp = CmpConfig {
+        cores: 4,
+        ..sharing_config(4).cmp
+    };
+    let mut checked = two.clone();
+    checked.diffcheck = DiffCheckConfig {
+        enabled: true,
+        ..DiffCheckConfig::default()
+    };
+    let cases = [
+        ("2 cores", &two, 0x5EED_0002, 0x99c0_df4f_aa1f_e6a3u64),
+        (
+            "4 cores, split L2, write-only",
+            &four,
+            0x5EED_0004,
+            0xb21c_1f98_5176_eb0a,
+        ),
+        (
+            "2 cores, coherence oracle on",
+            &checked,
+            0x5EED_0002,
+            0x99c0_df4f_aa1f_e6a3,
+        ),
+    ];
+    for (what, cfg, seed, pinned) in cases {
+        let r = pinned_run(cfg, seed);
+        let c = r.result.counters;
+        assert!(c.invalidations > 0 && c.c2c_transfers > 0, "{what}: {c:?}");
+        assert_eq!(cmp_digest(&r), pinned, "{what}: multi-core result drifted");
+    }
+}
+
+/// A remote store invalidates a line the other core just loaded; that
+/// core's next load of the same line must miss (and be supplied
+/// cache-to-cache), not hit a stale copy.
+#[test]
+fn a_load_after_a_remote_invalidation_misses() {
+    use gaas_trace::{Pid, Trace, TraceEvent, VecTrace, VirtAddr, SHARED_PID};
+    let x = VirtAddr::new(SHARED_PID, 0x40);
+    let code = |pid: u8, w: u64| VirtAddr::new(Pid::new(pid), w);
+    // Core 0 loads X, then idles on stall cycles long enough for core 1
+    // (scheduled by functional clock) to store X, then loads X again.
+    let mut c0 = vec![TraceEvent::ifetch(code(0, 0), 0), TraceEvent::load(x)];
+    for i in 1..4 {
+        c0.push(TraceEvent::ifetch(code(0, i), 200));
+    }
+    c0.push(TraceEvent::ifetch(code(0, 4), 0));
+    c0.push(TraceEvent::load(x));
+    let c1 = vec![TraceEvent::ifetch(code(1, 0), 0), TraceEvent::store(x)];
+    let mut cfg = SimConfig::baseline();
+    cfg.cmp = CmpConfig::with_cores(2);
+    let per_core: Vec<Vec<Box<dyn Trace>>> = vec![
+        vec![Box::new(VecTrace::new("c0", c0))],
+        vec![Box::new(VecTrace::new("c1", c1))],
+    ];
+    let r = gaas_coherence::CmpSimulator::new(cfg)
+        .expect("valid")
+        .run_warmed(per_core, 0)
+        .expect("runs");
+    assert_eq!(r.per_core[1].invalidations, 1, "{:?}", r.per_core[1]);
+    assert_eq!(r.per_core[0].loads, 2);
+    assert_eq!(
+        r.per_core[0].l1d_read_misses, 2,
+        "the reload must miss after the invalidation: {:?}",
+        r.per_core[0]
+    );
+    assert_eq!(
+        r.per_core[0].c2c_transfers, 1,
+        "the owner supplies the line"
+    );
+    assert_eq!(
+        cmp_digest(&r),
+        0xd1ae_be8d_9053_09c1,
+        "invalidate-then-load drifted"
     );
 }
