@@ -5,11 +5,17 @@
 //! buffer, translation cache, timing and functional clocks, counters and
 //! per-PID rows — and a [`Backside`] is what every core sees behind it:
 //! the L2 arrays, main memory, the page mapper and the derived cycle
-//! costs. The rules for an ifetch, a load, a store, L2/memory miss
-//! service, write-buffer waits, enqueues and drains are methods of
-//! [`Core`] that take the back side as an argument, so both engines run
-//! the same code: [`Simulator`] owns one core, and the CMP engine in
-//! `gaas-coherence` owns N of them over one back side.
+//! costs. The rules for an ifetch, a load, a store and a write-buffer
+//! drain are methods of [`Core`] that take the back side as an argument,
+//! so both engines run the same code: [`Simulator`] owns one core, and
+//! the CMP engine in `gaas-coherence` owns N of them over one back side.
+//!
+//! The cycle-cost rules — L2/memory miss service, the write-buffer waits
+//! of an I-miss and a D-miss, and the enqueue with its drain cost — are
+//! methods of [`Timing`], the back side's timing half. They take the L2
+//! outcome as a code rather than probing the arrays, so the co-pricer
+//! (`profile`) runs them too: each of its lanes owns a `Timing` and feeds
+//! it the outcomes recorded by a functional pass.
 //!
 //! Coherence plugs in through [`CoherenceHook`], dispatched statically:
 //! the single CPU passes [`NoCoherence`], whose empty bodies compile
@@ -50,23 +56,218 @@ enum L2Arrays {
     Split { i: CacheArray, d: CacheArray },
 }
 
-/// The structures every core shares: the L2 arrays, the memory systems
-/// behind them, the page mapper, and the cycle costs and timing switches
-/// the rules read.
+/// The structures every core shares: the L2 arrays, the page mapper and
+/// the [`Timing`] behind them.
 pub struct Backside {
     l2: L2Arrays,
+    mapper: PageMapper,
+    pub(crate) timing: Timing,
+    write_through: bool,
+}
+
+/// L2 outcome codes of an L1 miss, as the cost rules and the profile
+/// tokens use them (0 is an L1 hit, which never reaches the rules).
+pub(crate) const L2_HIT: u8 = 1;
+/// L2 miss whose victim is clean.
+pub(crate) const L2_MISS_CLEAN: u8 = 2;
+/// L2 miss whose victim is dirty.
+pub(crate) const L2_MISS_DIRTY: u8 = 3;
+
+/// The timing half of the back side: the memory systems behind L2 and
+/// the cycle costs and §9 switches of one configuration, with the cost
+/// rules as methods. A rule takes the L2 outcome of the access it prices
+/// (`L2_HIT`, `L2_MISS_CLEAN`, `L2_MISS_DIRTY`; a drain's code is 0 for a
+/// hit and 1/2 for a miss with a clean/dirty victim) and charges one
+/// core's counters and write buffer, so the live pipeline and every
+/// co-pricer lane run the same arithmetic.
+pub(crate) struct Timing {
     /// Memory behind L2-D (or the unified L2); carries the dirty buffer.
     pub(crate) mem_d: MemorySystem,
     /// Memory behind a split L2-I (no dirty buffer).
     pub(crate) mem_i: MemorySystem,
-    mapper: PageMapper,
-    costs: ServiceCosts,
-    tlb_penalty: u64,
+    pub(crate) costs: ServiceCosts,
+    pub(crate) tlb_penalty: u64,
     concurrent_i_refill: bool,
     d_read_bypass: WbBypass,
     d_line_words: u32,
     split_l2: bool,
-    write_through: bool,
+}
+
+/// What one write-buffer enqueue charged (see [`Timing::enqueue`]).
+pub(crate) struct Enqueued {
+    /// CPU stall waiting for a free slot.
+    pub(crate) stall: u64,
+    /// When the drain starts to occupy L2-D.
+    pub(crate) busy_from: u64,
+    /// When the entry has drained.
+    pub(crate) completes: u64,
+}
+
+impl Timing {
+    /// Fresh timing state for `cfg`'s timing point.
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
+        Timing {
+            mem_d: MemorySystem::new(cfg.memory, cfg.concurrency.l2d_dirty_buffer),
+            mem_i: MemorySystem::new(cfg.memory, false),
+            costs: cfg.service_costs(),
+            tlb_penalty: cfg.tlb_miss_penalty as u64,
+            concurrent_i_refill: cfg.concurrency.concurrent_i_refill,
+            d_read_bypass: cfg.concurrency.d_read_bypass,
+            d_line_words: cfg.l1d.line_words,
+            split_l2: cfg.l2.is_split(),
+        }
+    }
+
+    /// The memory system an L2 miss on the given side goes to: a split
+    /// L2-I has its own, everything else shares the L2-D one.
+    fn mem(&mut self, i_side: bool) -> &mut MemorySystem {
+        if i_side && self.split_l2 {
+            &mut self.mem_i
+        } else {
+            &mut self.mem_d
+        }
+    }
+
+    /// Charges a TLB miss; returns the walk penalty.
+    #[inline]
+    pub(crate) fn tlb_miss(&self, c: &mut Counters, i_side: bool) -> u64 {
+        if i_side {
+            c.itlb_misses += 1;
+        } else {
+            c.dtlb_misses += 1;
+        }
+        c.tlb_miss_cycles += self.tlb_penalty;
+        self.tlb_penalty
+    }
+
+    /// Services an L1 miss on the given side whose L2 outcome is
+    /// `outcome`, starting at `start`; returns the stall, with its
+    /// components attributed.
+    pub(crate) fn service(
+        &mut self,
+        c: &mut Counters,
+        i_side: bool,
+        start: u64,
+        outcome: u8,
+    ) -> u64 {
+        let (hit_cost, accesses, misses, l1_cycles, l2_cycles) = if i_side {
+            (
+                self.costs.i_hit as u64,
+                &mut c.l2i_accesses,
+                &mut c.l2i_misses,
+                &mut c.l1i_miss_cycles,
+                &mut c.l2i_miss_cycles,
+            )
+        } else {
+            (
+                self.costs.d_hit as u64,
+                &mut c.l2d_accesses,
+                &mut c.l2d_misses,
+                &mut c.l1d_miss_cycles,
+                &mut c.l2d_miss_cycles,
+            )
+        };
+        *accesses += 1;
+        if outcome == L2_HIT {
+            *l1_cycles += hit_cost;
+            return hit_cost;
+        }
+        *misses += 1;
+        let svc = self
+            .mem(i_side)
+            .service_miss(start, outcome == L2_MISS_DIRTY);
+        // Attribute up to the L2-hit-equivalent cost to the L1 component and
+        // the excess to the L2 component. An exotic configuration can make
+        // the memory penalty smaller than the hit cost; clamp so the
+        // components still sum to the charged stall.
+        let service = svc.stall_cycles - svc.dirty_buffer_wait;
+        let l1_share = service.min(hit_cost);
+        *l1_cycles += l1_share;
+        *l2_cycles += service - l1_share;
+        c.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
+        svc.stall_cycles
+    }
+
+    /// Write-buffer wait (attributed) of an L1-I miss at `start`: the
+    /// base rule waits for the buffer to empty (keeps the unified L2
+    /// consistent); the §9 concurrent refill drops the wait.
+    #[inline]
+    pub(crate) fn i_miss_wb_wait(&self, c: &mut Counters, wb: &mut WriteBuffer, start: u64) -> u64 {
+        if self.concurrent_i_refill {
+            return 0;
+        }
+        let wait = wb.empty_at(start) - start;
+        c.wb_wait_cycles += wait;
+        wait
+    }
+
+    /// Write-buffer wait (attributed) that an L1-D miss must take before
+    /// its L2 fetch, per the configured bypass scheme.
+    #[inline]
+    pub(crate) fn d_miss_wb_wait(
+        &self,
+        c: &mut Counters,
+        wb: &mut WriteBuffer,
+        start: u64,
+        line_base: PhysAddr,
+        replaced_written: bool,
+    ) -> u64 {
+        let until = match self.d_read_bypass {
+            WbBypass::Wait => wb.empty_at(start),
+            WbBypass::DirtyBit => {
+                if replaced_written {
+                    wb.empty_at(start)
+                } else {
+                    start
+                }
+            }
+            WbBypass::Associative => wb
+                .match_line(start, line_base, self.d_line_words)
+                .map_or(start, |t| t.max(start)),
+        };
+        let wait = until - start;
+        c.wb_wait_cycles += wait;
+        wait
+    }
+
+    /// Enqueues a write into `wb` at `start`, stalling for a slot if the
+    /// buffer is full. `drain` is the drain's L2-D outcome: a miss
+    /// allocates from memory, which lengthens the drain (it stalls the
+    /// buffer, not the CPU, and does not compete for the dirty buffer).
+    #[inline]
+    pub(crate) fn enqueue(
+        &mut self,
+        c: &mut Counters,
+        wb: &mut WriteBuffer,
+        start: u64,
+        addr: PhysAddr,
+        drain: u8,
+    ) -> Enqueued {
+        let free_at = wb.slot_free_at(start);
+        let stall = free_at - start;
+        c.wb_wait_cycles += stall;
+        c.l2_drain_writes += 1;
+        let extra = if drain == 0 {
+            0
+        } else {
+            c.l2_drain_misses += 1;
+            self.mem_d.service_miss_raw(drain == 2).stall_cycles as u32
+        };
+        let busy_from = free_at.max(wb.last_completion());
+        let completes = wb.enqueue(
+            free_at,
+            addr,
+            self.costs.drain_access,
+            self.costs.drain_stream,
+            extra,
+        );
+        c.l2_drain_busy_cycles += completes - busy_from;
+        Enqueued {
+            stall,
+            busy_from,
+            completes,
+        }
+    }
 }
 
 impl Backside {
@@ -86,15 +287,8 @@ impl Backside {
         };
         Ok(Backside {
             l2,
-            mem_d: MemorySystem::new(cfg.memory, cfg.concurrency.l2d_dirty_buffer),
-            mem_i: MemorySystem::new(cfg.memory, false),
             mapper: PageMapper::new(cfg.page_colors),
-            costs: cfg.service_costs(),
-            tlb_penalty: cfg.tlb_miss_penalty as u64,
-            concurrent_i_refill: cfg.concurrency.concurrent_i_refill,
-            d_read_bypass: cfg.concurrency.d_read_bypass,
-            d_line_words: cfg.l1d.line_words,
-            split_l2: cfg.l2.is_split(),
+            timing: Timing::new(cfg),
             write_through: cfg.policy.is_write_through(),
         })
     }
@@ -151,14 +345,19 @@ impl Backside {
         }
     }
 
-    /// The memory system an L2-I miss goes to: its own when L2 is split,
-    /// else the unified L2's.
-    fn mem_for_i(&mut self) -> &mut MemorySystem {
-        if self.split_l2 {
-            &mut self.mem_i
+    /// Drains one buffered write into L2-D, allocating on a miss; returns
+    /// the drain's outcome code (0 = hit, 1/2 = miss with a clean/dirty
+    /// victim).
+    fn drain_l2(&mut self, addr: PhysAddr) -> u8 {
+        let code = if self.l2_touch_d(addr).is_some() {
+            0
+        } else if self.l2_fill_d(addr) {
+            2
         } else {
-            &mut self.mem_d
-        }
+            1
+        };
+        self.mark_l2d_dirty(addr);
+        code
     }
 }
 
@@ -558,9 +757,7 @@ impl Core {
                 cycles += self.fault_on_tlb_hit(back);
             }
         } else {
-            self.counters.itlb_misses += 1;
-            let p = back.tlb_penalty;
-            self.counters.tlb_miss_cycles += p;
+            let p = back.timing.tlb_miss(&mut self.counters, true);
             cycles += p;
             if HOOKS && self.telem_on {
                 self.telem_tlb_walk(true, p);
@@ -575,18 +772,11 @@ impl Core {
         } else {
             self.counters.l1i_misses += 1;
             missed = true;
-            let mut t = self.now + cycles;
-            // Base rule: instruction misses wait for the write buffer to
-            // empty (keeps the unified L2 consistent). The §9 concurrent
-            // refill drops this when L2 is split.
-            if !back.concurrent_i_refill {
-                let empty = self.wb.empty_at(t);
-                let wait = empty - t;
-                self.counters.wb_wait_cycles += wait;
-                cycles += wait;
-                t = empty;
-            }
-            cycles += self.service_i_miss(back, t, paddr);
+            let t = self.now + cycles;
+            let wait = back
+                .timing
+                .i_miss_wb_wait(&mut self.counters, &mut self.wb, t);
+            cycles += wait + self.service_i_miss(back, t + wait, paddr);
         }
         self.now += cycles;
         if !HOOKS {
@@ -672,9 +862,7 @@ impl Core {
                 cycles += self.fault_on_tlb_hit(back);
             }
         } else {
-            self.counters.dtlb_misses += 1;
-            let p = back.tlb_penalty;
-            self.counters.tlb_miss_cycles += p;
+            let p = back.timing.tlb_miss(&mut self.counters, false);
             cycles += p;
             if HOOKS && self.telem_on {
                 self.telem_tlb_walk(false, p);
@@ -768,9 +956,7 @@ impl Core {
                 cycles += self.fault_on_tlb_hit(back);
             }
         } else {
-            self.counters.dtlb_misses += 1;
-            let p = back.tlb_penalty;
-            self.counters.tlb_miss_cycles += p;
+            let p = back.timing.tlb_miss(&mut self.counters, false);
             cycles += p;
             if HOOKS && self.telem_on {
                 self.telem_tlb_walk(false, p);
@@ -856,51 +1042,42 @@ impl Core {
     }
 
     // ---- L2 / memory service ----
+    //
+    // Each miss path does the functional work here — the L2 probe or
+    // fill, the functional clock, the recorder — and leaves the cycle
+    // charge to the matching `Timing` rule.
 
     /// Services an instruction-side L1 miss starting at `start`; returns
     /// total stall cycles, with components attributed.
     #[cold]
     #[inline(never)]
     fn service_i_miss(&mut self, back: &mut Backside, start: u64, paddr: PhysAddr) -> u64 {
-        self.counters.l2i_accesses += 1;
-        let hit_cost = back.costs.i_hit as u64;
-        if let Some(dirty) = back.l2_touch_i(paddr) {
-            self.counters.l1i_miss_cycles += hit_cost;
-            self.fnow += back.costs.ref_i_hit as u64;
-            if let Some(r) = self.rec.as_deref_mut() {
-                r.set_i_outcome(1);
+        let l2_dirty = back.l2_touch_i(paddr);
+        let outcome = match l2_dirty {
+            Some(_) => {
+                self.fnow += back.timing.costs.ref_i_hit as u64;
+                L2_HIT
             }
-            if self.telem_on {
-                self.telem_l2_lookup_i(start, hit_cost);
-            }
-            self.l1i.fill(paddr);
-            return hit_cost + self.fault_on_l2_hit(back, dirty, true);
-        }
-        self.counters.l2i_misses += 1;
-        let dirty_victim = back.l2_fill_i(paddr);
-        self.fnow += if dirty_victim {
-            REF_MEM_DIRTY
-        } else {
-            REF_MEM_CLEAN
+            None => self.fnow_miss(back.l2_fill_i(paddr)),
         };
         if let Some(r) = self.rec.as_deref_mut() {
-            r.set_i_outcome(if dirty_victim { 3 } else { 2 });
+            r.set_i_outcome(outcome);
         }
-        let svc = back.mem_for_i().service_miss(start, dirty_victim);
+        let stall = back
+            .timing
+            .service(&mut self.counters, true, start, outcome);
         if self.telem_on {
-            self.telem_mem_refill_i(start, svc.stall_cycles);
+            if outcome == L2_HIT {
+                self.telem_l2_lookup_i(start, stall);
+            } else {
+                self.telem_mem_refill_i(start, stall);
+            }
         }
-        // Attribute up to the L2-hit-equivalent cost to the L1 component and
-        // the excess to the L2 component. An exotic configuration can make
-        // the memory penalty smaller than the hit cost; clamp so the
-        // components still sum to the charged stall.
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        self.counters.l1i_miss_cycles += l1_share;
-        self.counters.l2i_miss_cycles += service - l1_share;
-        self.counters.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
         self.l1i.fill(paddr);
-        svc.stall_cycles
+        match l2_dirty {
+            Some(dirty) => stall + self.fault_on_l2_hit(back, dirty, true),
+            None => stall,
+        }
     }
 
     /// Services a data-side L1 miss (read or write-allocate) starting at
@@ -908,40 +1085,43 @@ impl Core {
     #[cold]
     #[inline(never)]
     fn service_d_miss(&mut self, back: &mut Backside, start: u64, line_base: PhysAddr) -> u64 {
-        self.counters.l2d_accesses += 1;
-        let hit_cost = back.costs.d_hit as u64;
-        if let Some(dirty) = back.l2_touch_d(line_base) {
-            self.counters.l1d_miss_cycles += hit_cost;
-            self.fnow += back.costs.ref_d_hit as u64;
-            if let Some(r) = self.rec.as_deref_mut() {
-                r.set_d_outcome(1);
+        let l2_dirty = back.l2_touch_d(line_base);
+        let outcome = match l2_dirty {
+            Some(_) => {
+                self.fnow += back.timing.costs.ref_d_hit as u64;
+                L2_HIT
             }
-            if self.telem_on {
-                self.telem_l2_lookup_d(start, hit_cost);
-            }
-            return hit_cost + self.fault_on_l2_hit(back, dirty, false);
-        }
-        self.counters.l2d_misses += 1;
-        let dirty_victim = back.l2_fill_d(line_base);
-        self.fnow += if dirty_victim {
-            REF_MEM_DIRTY
-        } else {
-            REF_MEM_CLEAN
+            None => self.fnow_miss(back.l2_fill_d(line_base)),
         };
         if let Some(r) = self.rec.as_deref_mut() {
-            r.set_d_outcome(if dirty_victim { 3 } else { 2 });
+            r.set_d_outcome(outcome);
         }
-        let svc = back.mem_d.service_miss(start, dirty_victim);
+        let stall = back
+            .timing
+            .service(&mut self.counters, false, start, outcome);
         if self.telem_on {
-            self.telem_mem_refill_d(start, svc.stall_cycles);
+            if outcome == L2_HIT {
+                self.telem_l2_lookup_d(start, stall);
+            } else {
+                self.telem_mem_refill_d(start, stall);
+            }
         }
-        // Same clamped attribution as the instruction side.
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        self.counters.l1d_miss_cycles += l1_share;
-        self.counters.l2d_miss_cycles += service - l1_share;
-        self.counters.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
-        svc.stall_cycles
+        match l2_dirty {
+            Some(dirty) => stall + self.fault_on_l2_hit(back, dirty, false),
+            None => stall,
+        }
+    }
+
+    /// Advances the functional clock for an L2 miss at the reference
+    /// memory penalty; returns the miss's outcome code.
+    fn fnow_miss(&mut self, dirty_victim: bool) -> u8 {
+        if dirty_victim {
+            self.fnow += REF_MEM_DIRTY;
+            L2_MISS_DIRTY
+        } else {
+            self.fnow += REF_MEM_CLEAN;
+            L2_MISS_CLEAN
+        }
     }
 
     /// Write-buffer wait (in cycles, attributed) that an L1-D miss must
@@ -953,22 +1133,13 @@ impl Core {
         line_base: PhysAddr,
         replaced_written: bool,
     ) -> u64 {
-        let until = match back.d_read_bypass {
-            WbBypass::Wait => self.wb.empty_at(start),
-            WbBypass::DirtyBit => {
-                if replaced_written {
-                    self.wb.empty_at(start)
-                } else {
-                    start
-                }
-            }
-            WbBypass::Associative => self
-                .wb
-                .match_line(start, line_base, back.d_line_words)
-                .map_or(start, |t| t.max(start)),
-        };
-        let wait = until - start;
-        self.counters.wb_wait_cycles += wait;
+        let wait = back.timing.d_miss_wb_wait(
+            &mut self.counters,
+            &mut self.wb,
+            start,
+            line_base,
+            replaced_written,
+        );
         if self.telem_on && wait > 0 {
             self.telem_wb_wait(start, wait);
         }
@@ -976,53 +1147,21 @@ impl Core {
     }
 
     /// Enqueues a write into the write buffer at `start`, stalling for a
-    /// slot if the buffer is full. Returns the stall (attributed to WB).
+    /// slot if the buffer is full, and drains it into L2-D. Returns the
+    /// stall (attributed to WB).
     fn enqueue_write(&mut self, back: &mut Backside, start: u64, addr: PhysAddr) -> u64 {
+        let drain = back.drain_l2(addr);
         if let Some(r) = self.rec.as_deref_mut() {
             r.push_addr(addr.word());
+            r.push_drain(drain);
         }
-        let free_at = self.wb.slot_free_at(start);
-        let stall = free_at - start;
-        self.counters.wb_wait_cycles += stall;
-        let enq_time = free_at;
-        // The drain's cost depends on whether it hits in L2-D.
-        let extra = self.drain_l2_penalty(back, addr);
-        let busy_from = enq_time.max(self.wb.last_completion());
-        let completes = self.wb.enqueue(
-            enq_time,
-            addr,
-            back.costs.drain_access,
-            back.costs.drain_stream,
-            extra,
-        );
-        self.counters.l2_drain_busy_cycles += completes - busy_from;
+        let e = back
+            .timing
+            .enqueue(&mut self.counters, &mut self.wb, start, addr, drain);
         if self.telem_on {
-            self.telem_wb_enqueue(start, stall, busy_from, completes);
+            self.telem_wb_enqueue(start, e.stall, e.busy_from, e.completes);
         }
-        stall + self.fault_on_wb_write()
-    }
-
-    /// Models the L2 side of one drained write; returns the extra drain
-    /// occupancy when the write misses L2 (write-allocate from memory).
-    fn drain_l2_penalty(&mut self, back: &mut Backside, addr: PhysAddr) -> u32 {
-        self.counters.l2_drain_writes += 1;
-        if back.l2_touch_d(addr).is_some() {
-            back.mark_l2d_dirty(addr);
-            if let Some(r) = self.rec.as_deref_mut() {
-                r.push_drain(0);
-            }
-            return 0;
-        }
-        self.counters.l2_drain_misses += 1;
-        let dirty_victim = back.l2_fill_d(addr);
-        back.mark_l2d_dirty(addr);
-        if let Some(r) = self.rec.as_deref_mut() {
-            r.push_drain(if dirty_victim { 2 } else { 1 });
-        }
-        // The drain stalls the buffer, not the CPU, and does not compete
-        // for the dirty buffer: fold the raw penalty into the entry's
-        // occupancy.
-        back.mem_d.service_miss_raw(dirty_victim).stall_cycles as u32
+        e.stall + self.fault_on_wb_write()
     }
 
     // ---- differential-oracle hook ----
@@ -1247,7 +1386,7 @@ impl Core {
             return 0;
         };
         let cost = if effect == FaultEffect::Refetch {
-            back.tlb_penalty
+            back.timing.tlb_penalty
         } else {
             0
         };
@@ -1303,12 +1442,7 @@ impl Core {
             return 0;
         };
         let cost = if effect == FaultEffect::Refetch {
-            let mem = if i_side {
-                back.mem_for_i()
-            } else {
-                &mut back.mem_d
-            };
-            mem.service_miss_raw(false).stall_cycles
+            back.timing.mem(i_side).service_miss_raw(false).stall_cycles
         } else {
             0
         };
@@ -1335,17 +1469,23 @@ impl Core {
 /// untouched — recovery traffic is reported via the fault counters.
 fn refetch_from_l2_i(back: &mut Backside, paddr: PhysAddr) -> u64 {
     if back.l2_touch_i(paddr).is_some() {
-        return back.costs.i_hit as u64;
+        return back.timing.costs.i_hit as u64;
     }
     let dirty_victim = back.l2_fill_i(paddr);
-    back.mem_for_i().service_miss_raw(dirty_victim).stall_cycles
+    back.timing
+        .mem(true)
+        .service_miss_raw(dirty_victim)
+        .stall_cycles
 }
 
 /// Real refill cycles for refetching a clean L1-D line from L2/memory.
 fn refetch_from_l2_d(back: &mut Backside, paddr: PhysAddr) -> u64 {
     if back.l2_touch_d(paddr).is_some() {
-        return back.costs.d_hit as u64;
+        return back.timing.costs.d_hit as u64;
     }
     let dirty_victim = back.l2_fill_d(paddr);
-    back.mem_d.service_miss_raw(dirty_victim).stall_cycles
+    back.timing
+        .mem_d
+        .service_miss_raw(dirty_victim)
+        .stall_cycles
 }

@@ -17,11 +17,12 @@
 //!    hit/miss, L1/L2 hit/miss with victim dirtiness, write-policy
 //!    outcomes, and the physical addresses the write buffer needs.
 //! 2. **Timing pass** — [`price_profiles`] replays the token stream under
-//!    1..N timing points of the same geometry, re-running the *exact*
-//!    cycle arithmetic of the live simulator (write-buffer occupancy,
-//!    dirty buffer, drain streaming) against fresh timing state. Each
-//!    result is byte-identical to a full simulation of that
-//!    configuration. [`price_profile`] is its one-lane case.
+//!    1..N timing points of the same geometry, feeding the recorded
+//!    outcomes to the live pipeline's own cycle-cost rules
+//!    (`pipeline::Timing`: miss service, write-buffer waits, enqueue and
+//!    drain) against fresh timing state. Each result is byte-identical
+//!    to a full simulation of that configuration. [`price_profile`] is
+//!    its one-lane case.
 //!
 //! The split is sound because the simulator's scheduler runs on a
 //! *functional clock* (see `Simulator::fnow`) that advances only on
@@ -35,13 +36,12 @@
 //! N times. [`price_profiles`] collapses that: ONE pass over the token
 //! stream advances N variant *lanes* in lockstep. Each instruction record
 //! is decoded once into locals (stall, TLB bits, outcomes, drain codes,
-//! side-channel addresses) and then applied to every lane; per-lane timing
-//! state is laid out structure-of-arrays (`now`, counters, write-buffer
-//! occupancy planes) so the inner loop is branch-light, and the
-//! write-buffer line probe compares a whole lane window with one
-//! XOR/mask/compare per word ([`gaas_cache::line_member_mask`]). Every
-//! lane's result is byte-identical to a full simulation of its
-//! configuration.
+//! side-channel addresses) and then applied to every lane. A lane is a
+//! struct owning its clock, counters, per-process rows, one
+//! [`gaas_cache::WriteBuffer`] and a `Timing` (memory systems, costs and
+//! §9 switches of its configuration), and it prices a record by calling
+//! the same `Timing` rules the live pipeline calls. Every lane's result
+//! is byte-identical to a full simulation of its configuration.
 //!
 //! The address side channel is stored as codec-v3 blocks
 //! ([`gaas_trace::codec::encode_u64_stream`]) and streamed through a
@@ -56,14 +56,15 @@
 //! build, so the memoizer can never silently group configurations that
 //! differ functionally.
 
-use gaas_cache::{line_member_mask, MainMemory, MemorySystem, WritePolicy};
+use gaas_cache::{MainMemory, WriteBuffer, WritePolicy};
 use gaas_trace::codec::{encode_u64_stream, U64StreamCursor};
 use gaas_trace::PhysAddr;
 
 use crate::config::{
-    ConcurrencyConfig, L1Config, L2Config, L2Side, MpConfig, SimConfig, WbBypass, WriteBufferConfig,
+    ConcurrencyConfig, L1Config, L2Config, L2Side, MpConfig, SimConfig, WriteBufferConfig,
 };
 use crate::cpi::{active_processes, Counters, ProcCounters};
+use crate::pipeline::{Timing, L2_MISS_CLEAN};
 use crate::sim::{SimError, SimResult, Termination};
 
 // ---- token encoding ----
@@ -565,7 +566,9 @@ pub fn price_profiles(
         return Ok(Vec::new());
     }
 
-    let mut p = CoPricer::new(cfgs);
+    let mut lanes: Vec<Lane> = cfgs.iter().map(Lane::new).collect();
+    // The PID the current records belong to (set by control tokens).
+    let mut pid = 0usize;
     let mut addrs = U64StreamCursor::new(&profile.addr_blocks);
     let next_addr =
         |cur: &mut U64StreamCursor<'_>| PhysAddr::new(cur.next_value().expect("addrs underrun"));
@@ -589,8 +592,8 @@ pub fn price_profiles(
         let b = ops[i];
         i += 1;
         if b & CONTROL == CONTROL {
-            p.flush(&mut pend);
-            p.switch_pid(ops[i]);
+            pend.flush(&mut lanes, pid);
+            pid = ops[i] as usize;
             i += 1;
             continue;
         }
@@ -625,10 +628,10 @@ pub fn price_profiles(
                     }
                     let replaced = lb & LOAD_REPLACED != 0;
                     let dtlb = lb & LOAD_DTLB != 0;
-                    p.flush(&mut pend);
-                    for l in 0..p.n {
-                        p.apply_ifetch(l, stall, itlb, i_outcome);
-                        p.apply_load(l, dtlb, outcome, replaced, line_base, victim);
+                    pend.flush(&mut lanes, pid);
+                    for lane in &mut lanes {
+                        lane.ifetch(pid, stall, itlb, i_outcome);
+                        lane.load(pid, dtlb, outcome, replaced, line_base, victim);
                     }
                 }
             }
@@ -666,10 +669,10 @@ pub fn price_profiles(
                         i += 1;
                         victim = Some((addr, code));
                     }
-                    p.flush(&mut pend);
-                    for l in 0..p.n {
-                        p.apply_ifetch(l, stall, itlb, i_outcome);
-                        p.apply_store(l, sb, outcome, replaced, wb_word, line_base, victim);
+                    pend.flush(&mut lanes, pid);
+                    for lane in &mut lanes {
+                        lane.ifetch(pid, stall, itlb, i_outcome);
+                        lane.store(pid, sb, outcome, replaced, wb_word, line_base, victim);
                     }
                 }
             }
@@ -677,24 +680,30 @@ pub fn price_profiles(
                 if i_outcome == 0 {
                     pend.ifetch_hit(stall, itlb);
                 } else {
-                    p.flush(&mut pend);
-                    for l in 0..p.n {
-                        p.apply_ifetch(l, stall, itlb, i_outcome);
+                    pend.flush(&mut lanes, pid);
+                    for lane in &mut lanes {
+                        lane.ifetch(pid, stall, itlb, i_outcome);
                     }
                 }
             }
         }
         if profile.warmup > 0 && !warm && instr_total == profile.warmup {
-            p.flush(&mut pend);
+            pend.flush(&mut lanes, pid);
             warm = true;
-            p.warm_snapshot = p.counters.clone();
+            for lane in &mut lanes {
+                lane.warm_snapshot = lane.counters;
+            }
         }
     }
-    p.flush(&mut pend);
+    pend.flush(&mut lanes, pid);
     debug_assert_eq!(i, ops.len(), "ops stream fully consumed");
     debug_assert!(addrs.finished(), "addrs stream fully consumed");
 
-    Ok(p.into_results(cfgs, profile, warm))
+    Ok(lanes
+        .into_iter()
+        .zip(cfgs)
+        .map(|(lane, cfg)| lane.into_result(cfg, profile, warm))
+        .collect())
 }
 
 /// Accumulated all-hit records awaiting a lane flush (see
@@ -748,389 +757,167 @@ impl PendingRun {
     fn is_empty(&self) -> bool {
         self.instructions == 0 && self.loads == 0 && self.stores == 0
     }
-}
 
-/// Lane-parallel replay state for [`price_profiles`]: the timing state
-/// of the per-core pipeline (clock, counters, write buffer, memory
-/// systems) twinned per lane, structure-of-arrays. The
-/// write buffers of all lanes live in two packed planes (`wb_addr`,
-/// `wb_done`) of `wb_stride` slots per lane — lane `l`'s FIFO ring is
-/// `plane[l * stride ..][slot]` — so the §9 associative-bypass line
-/// probe scans one lane window with [`line_member_mask`] (one
-/// XOR/mask/compare per word, no per-slot branching). Buffer *depth* is
-/// a timing knob, so lanes may use fewer slots than the stride
-/// (`stride = max(depth)` across the group).
-struct CoPricer {
-    n: usize,
-    now: Vec<u64>,
-    counters: Vec<Counters>,
-    warm_snapshot: Vec<Counters>,
-    per_proc: Vec<Vec<ProcCounters>>,
-    cur_pid: usize,
-    // Write-buffer planes + per-lane ring bookkeeping. Completion times
-    // are strictly increasing in enqueue order and lane time never goes
-    // backwards, so retirement pops a ring prefix (head/len), exactly
-    // like the scalar buffer's lazy `advance`.
-    wb_stride: usize,
-    wb_addr: Vec<u64>,
-    wb_done: Vec<u64>,
-    wb_head: Vec<usize>,
-    wb_len: Vec<usize>,
-    wb_last: Vec<u64>,
-    wb_depth: Vec<usize>,
-    mem_d: Vec<MemorySystem>,
-    mem_i: Vec<MemorySystem>,
-    // Per-lane timing constants (`SimConfig::service_costs`).
-    i_hit_cost: Vec<u64>,
-    d_hit_cost: Vec<u64>,
-    d_write_access: Vec<u32>,
-    d_write_stream: Vec<u32>,
-    tlb_penalty: Vec<u64>,
-    bypass: Vec<WbBypass>,
-    concurrent_i_refill: Vec<bool>,
-    split_l2: Vec<bool>,
-    /// `l1d.line_words - 1`; the line length is functional, hence
-    /// identical across lanes, and recorded line bases are line-aligned —
-    /// the two facts [`line_member_mask`] relies on.
-    d_line_mask: u64,
-}
-
-impl CoPricer {
-    fn new(cfgs: &[SimConfig]) -> Self {
-        let n = cfgs.len();
-        let stride = cfgs.iter().map(|c| c.write_buffer.depth).max().unwrap_or(1);
-        let mut p = CoPricer {
-            n,
-            now: vec![0; n],
-            counters: vec![Counters::new(); n],
-            warm_snapshot: Vec::new(),
-            per_proc: vec![Vec::new(); n],
-            cur_pid: 0,
-            wb_stride: stride,
-            wb_addr: vec![0; n * stride],
-            wb_done: vec![0; n * stride],
-            wb_head: vec![0; n],
-            wb_len: vec![0; n],
-            wb_last: vec![0; n],
-            wb_depth: Vec::with_capacity(n),
-            mem_d: Vec::with_capacity(n),
-            mem_i: Vec::with_capacity(n),
-            i_hit_cost: Vec::with_capacity(n),
-            d_hit_cost: Vec::with_capacity(n),
-            d_write_access: Vec::with_capacity(n),
-            d_write_stream: Vec::with_capacity(n),
-            tlb_penalty: Vec::with_capacity(n),
-            bypass: Vec::with_capacity(n),
-            concurrent_i_refill: Vec::with_capacity(n),
-            split_l2: Vec::with_capacity(n),
-            d_line_mask: u64::from(cfgs[0].l1d.line_words) - 1,
-        };
-        for cfg in cfgs {
-            let costs = cfg.service_costs();
-            p.wb_depth.push(cfg.write_buffer.depth);
-            p.mem_d.push(MemorySystem::new(
-                cfg.memory,
-                cfg.concurrency.l2d_dirty_buffer,
-            ));
-            p.mem_i.push(MemorySystem::new(cfg.memory, false));
-            p.i_hit_cost.push(costs.i_hit as u64);
-            p.d_hit_cost.push(costs.d_hit as u64);
-            p.d_write_access.push(costs.drain_access);
-            p.d_write_stream.push(costs.drain_stream);
-            p.tlb_penalty.push(cfg.tlb_miss_penalty as u64);
-            p.bypass.push(cfg.concurrency.d_read_bypass);
-            p.concurrent_i_refill
-                .push(cfg.concurrency.concurrent_i_refill);
-            p.split_l2.push(cfg.l2.is_split());
-        }
-        p
-    }
-
-    fn switch_pid(&mut self, pid: u8) {
-        self.cur_pid = pid as usize;
-        for pp in &mut self.per_proc {
-            if pp.len() <= self.cur_pid {
-                pp.resize(self.cur_pid + 1, ProcCounters::default());
-            }
-        }
-    }
-
-    /// Applies an accumulated all-hit run to every lane and resets it.
-    /// The whole run belongs to `cur_pid` (runs are flushed on PID
-    /// switches) and precedes any pending miss (runs are flushed before
-    /// the per-lane miss path), so lane time, counters, and the
-    /// per-process entry each advance by one closed-form delta.
-    fn flush(&mut self, pend: &mut PendingRun) {
-        if pend.is_empty() {
+    /// Applies the run to every lane and resets it. The whole run
+    /// belongs to `pid` (runs are flushed on PID switches) and precedes
+    /// any pending miss (runs are flushed before the per-lane miss path),
+    /// so lane time, counters, and the per-process entry each advance by
+    /// one closed-form delta.
+    fn flush(&mut self, lanes: &mut [Lane], pid: usize) {
+        if self.is_empty() {
             return;
         }
-        let tlb_events = pend.itlb + pend.dtlb;
-        for l in 0..self.n {
-            let cycles = pend.base_cycles + tlb_events * self.tlb_penalty[l];
-            {
-                let c = &mut self.counters[l];
-                c.instructions += pend.instructions;
-                c.loads += pend.loads;
-                c.stores += pend.stores;
-                c.cpu_stall_cycles += pend.cpu_stall;
-                c.itlb_misses += pend.itlb;
-                c.dtlb_misses += pend.dtlb;
-                c.tlb_miss_cycles += tlb_events * self.tlb_penalty[l];
-                c.l1_write_cycles += pend.extra_writes;
-                c.l1d_write_misses += pend.store_misses;
-            }
-            self.now[l] += cycles;
-            let pp = self.proc_entry(l);
-            pp.instructions += pend.instructions;
-            pp.loads += pend.loads;
-            pp.stores += pend.stores;
+        let tlb_events = self.itlb + self.dtlb;
+        for lane in lanes {
+            let tlb_cycles = tlb_events * lane.timing.tlb_penalty;
+            let cycles = self.base_cycles + tlb_cycles;
+            let c = &mut lane.counters;
+            c.instructions += self.instructions;
+            c.loads += self.loads;
+            c.stores += self.stores;
+            c.cpu_stall_cycles += self.cpu_stall;
+            c.itlb_misses += self.itlb;
+            c.dtlb_misses += self.dtlb;
+            c.tlb_miss_cycles += tlb_cycles;
+            c.l1_write_cycles += self.extra_writes;
+            c.l1d_write_misses += self.store_misses;
+            lane.now += cycles;
+            let pp = lane.proc_entry(pid);
+            pp.instructions += self.instructions;
+            pp.loads += self.loads;
+            pp.stores += self.stores;
             pp.cycles += cycles;
-            pp.l1d_misses += pend.store_misses;
+            pp.l1d_misses += self.store_misses;
         }
-        *pend = PendingRun::default();
+        *self = PendingRun::default();
     }
+}
 
-    // -- write buffer (twin of gaas_cache::WriteBuffer over the planes) --
+/// One timing variant's replay state in [`price_profiles`]: the timing
+/// half of the per-core pipeline — clock, counters, per-process rows,
+/// write buffer, and the [`Timing`] (memory systems, costs, §9 switches)
+/// whose cost rules the live pipeline also runs. A lane applies a
+/// decoded instruction record by feeding the recorded outcome codes to
+/// those rules.
+struct Lane {
+    now: u64,
+    counters: Counters,
+    warm_snapshot: Counters,
+    per_proc: Vec<ProcCounters>,
+    wb: WriteBuffer,
+    timing: Timing,
+}
 
-    #[inline]
-    fn wb_advance(&mut self, l: usize, now: u64) {
-        let base = l * self.wb_stride;
-        let depth = self.wb_depth[l];
-        let mut head = self.wb_head[l];
-        let mut len = self.wb_len[l];
-        while len > 0 && self.wb_done[base + head] <= now {
-            head += 1;
-            if head == depth {
-                head = 0;
-            }
-            len -= 1;
-        }
-        self.wb_head[l] = head;
-        self.wb_len[l] = len;
-    }
-
-    #[inline]
-    fn wb_slot_free_at(&mut self, l: usize, now: u64) -> u64 {
-        self.wb_advance(l, now);
-        if self.wb_len[l] < self.wb_depth[l] {
-            now
-        } else {
-            // Full: the oldest live entry frees the slot.
-            self.wb_done[l * self.wb_stride + self.wb_head[l]]
+impl Lane {
+    fn new(cfg: &SimConfig) -> Self {
+        Lane {
+            now: 0,
+            counters: Counters::new(),
+            warm_snapshot: Counters::new(),
+            per_proc: Vec::new(),
+            wb: WriteBuffer::new(cfg.write_buffer.depth),
+            timing: Timing::new(cfg),
         }
     }
 
-    #[inline]
-    fn wb_empty_at(&mut self, l: usize, now: u64) -> u64 {
-        self.wb_advance(l, now);
-        if self.wb_len[l] == 0 {
-            now
-        } else {
-            // The youngest live entry is the last enqueued one.
-            self.wb_last[l].max(now)
+    fn into_result(
+        mut self,
+        cfg: &SimConfig,
+        profile: &FunctionalProfile,
+        warm: bool,
+    ) -> SimResult {
+        debug_assert_eq!(
+            self.now,
+            self.counters.total_cycles(),
+            "cycle accounting must balance"
+        );
+        self.counters.syscall_switches = profile.syscall_switches;
+        self.counters.slice_switches = profile.slice_switches;
+        SimResult {
+            config: cfg.clone(),
+            counters: if warm {
+                self.counters.since(&self.warm_snapshot)
+            } else {
+                self.counters
+            },
+            completed: profile.completed.clone(),
+            per_process: active_processes(&self.per_proc),
+            termination: if profile.budget_exhausted {
+                Termination::BudgetExhausted
+            } else {
+                Termination::Completed
+            },
+            checkpoints: Vec::new(),
         }
     }
 
-    #[inline]
-    fn wb_enqueue(&mut self, l: usize, enq_time: u64, addr: PhysAddr, extra: u32) -> u64 {
-        self.wb_advance(l, enq_time);
-        debug_assert!(self.wb_len[l] < self.wb_depth[l], "enqueue into full wb");
-        let isolated = enq_time + self.d_write_access[l] as u64;
-        let streamed = self.wb_last[l] + self.d_write_stream[l] as u64;
-        let completes = isolated.max(streamed) + extra as u64;
-        let depth = self.wb_depth[l];
-        let mut slot = self.wb_head[l] + self.wb_len[l];
-        if slot >= depth {
-            slot -= depth;
+    fn proc_entry(&mut self, pid: usize) -> &mut ProcCounters {
+        if self.per_proc.len() <= pid {
+            self.per_proc.resize(pid + 1, ProcCounters::default());
         }
-        let at = l * self.wb_stride + slot;
-        self.wb_addr[at] = addr.word();
-        self.wb_done[at] = completes;
-        self.wb_len[l] += 1;
-        self.wb_last[l] = completes;
-        completes
+        &mut self.per_proc[pid]
     }
 
-    /// Completion time of the youngest live entry whose address falls in
-    /// the L1-D line at `line_base` — the §9 associative-bypass probe.
-    fn wb_match_line(&mut self, l: usize, now: u64, line_base: PhysAddr) -> Option<u64> {
-        self.wb_advance(l, now);
-        let base = l * self.wb_stride;
-        let depth = self.wb_depth[l];
-        let head = self.wb_head[l];
-        let len = self.wb_len[l];
-        if depth <= 64 {
-            let mask = line_member_mask(
-                &self.wb_addr[base..base + depth],
-                line_base.word(),
-                self.d_line_mask,
-            );
-            for j in (0..len).rev() {
-                let mut slot = head + j;
-                if slot >= depth {
-                    slot -= depth;
-                }
-                if mask >> slot & 1 == 1 {
-                    return Some(self.wb_done[base + slot]);
-                }
-            }
-        } else {
-            // Degenerate deep buffers overflow the 64-bit probe mask;
-            // fall back to scalar compares, youngest first.
-            let keep = !self.d_line_mask;
-            let want = line_base.word();
-            for j in (0..len).rev() {
-                let mut slot = head + j;
-                if slot >= depth {
-                    slot -= depth;
-                }
-                if self.wb_addr[base + slot] & keep == want {
-                    return Some(self.wb_done[base + slot]);
-                }
-            }
-        }
-        None
+    /// Enqueues a recorded write-buffer entry at `start`; returns the
+    /// CPU stall.
+    fn enqueue(&mut self, start: u64, (addr, drain): (PhysAddr, u8)) -> u64 {
+        self.timing
+            .enqueue(&mut self.counters, &mut self.wb, start, addr, drain)
+            .stall
     }
 
-    // -- per-lane replay arithmetic (twin of the pipeline's rules) --
-
-    fn proc_entry(&mut self, l: usize) -> &mut ProcCounters {
-        let idx = self.cur_pid;
-        let pp = &mut self.per_proc[l];
-        if pp.len() <= idx {
-            pp.resize(idx + 1, ProcCounters::default());
+    /// The L1-D miss sequence shared by loads and write-allocate stores:
+    /// the bypass wait on pending writes, the victim's enqueue, then the
+    /// L2 service. Returns the cycles from `t` on.
+    fn d_miss(
+        &mut self,
+        mut t: u64,
+        outcome: u8,
+        replaced: bool,
+        line_base: PhysAddr,
+        victim: Option<(PhysAddr, u8)>,
+    ) -> u64 {
+        let start = t;
+        t += self
+            .timing
+            .d_miss_wb_wait(&mut self.counters, &mut self.wb, t, line_base, replaced);
+        if let Some(v) = victim {
+            t += self.enqueue(t, v);
         }
-        &mut pp[idx]
+        t += self.timing.service(&mut self.counters, false, t, outcome);
+        t - start
     }
 
-    #[inline]
-    fn charge_tlb_miss(&mut self, l: usize, instruction_side: bool, cycles: &mut u64) {
-        if instruction_side {
-            self.counters[l].itlb_misses += 1;
-        } else {
-            self.counters[l].dtlb_misses += 1;
-        }
-        let p = self.tlb_penalty[l];
-        self.counters[l].tlb_miss_cycles += p;
-        *cycles += p;
-    }
-
-    fn apply_ifetch(&mut self, l: usize, stall: u64, itlb: bool, outcome: u8) {
+    fn ifetch(&mut self, pid: usize, stall: u64, itlb: bool, outcome: u8) {
         let mut cycles = 1 + stall;
-        self.counters[l].instructions += 1;
-        self.counters[l].cpu_stall_cycles += stall;
+        self.counters.instructions += 1;
+        self.counters.cpu_stall_cycles += stall;
         if itlb {
-            self.charge_tlb_miss(l, true, &mut cycles);
+            cycles += self.timing.tlb_miss(&mut self.counters, true);
         }
         let missed = outcome != 0;
         if missed {
-            self.counters[l].l1i_misses += 1;
-            let mut t = self.now[l] + cycles;
-            if !self.concurrent_i_refill[l] {
-                let empty = self.wb_empty_at(l, t);
-                let wait = empty - t;
-                self.counters[l].wb_wait_cycles += wait;
-                cycles += wait;
-                t = empty;
-            }
-            cycles += self.service_i(l, t, outcome);
+            self.counters.l1i_misses += 1;
+            let t = self.now + cycles;
+            let wait = self
+                .timing
+                .i_miss_wb_wait(&mut self.counters, &mut self.wb, t);
+            cycles += wait
+                + self
+                    .timing
+                    .service(&mut self.counters, true, t + wait, outcome);
         }
-        self.now[l] += cycles;
-        let l2_missed = outcome >= 2;
-        let p = self.proc_entry(l);
+        self.now += cycles;
+        let p = self.proc_entry(pid);
         p.instructions += 1;
         p.cycles += cycles;
-        if missed {
-            p.l1i_misses += 1;
-        }
-        if l2_missed {
-            p.l2_misses += 1;
-        }
+        p.l1i_misses += u64::from(missed);
+        p.l2_misses += u64::from(outcome >= L2_MISS_CLEAN);
     }
 
-    fn service_i(&mut self, l: usize, start: u64, outcome: u8) -> u64 {
-        self.counters[l].l2i_accesses += 1;
-        let hit_cost = self.i_hit_cost[l];
-        if outcome == 1 {
-            self.counters[l].l1i_miss_cycles += hit_cost;
-            return hit_cost;
-        }
-        self.counters[l].l2i_misses += 1;
-        let svc = if self.split_l2[l] {
-            self.mem_i[l].service_miss(start, outcome == 3)
-        } else {
-            self.mem_d[l].service_miss(start, outcome == 3)
-        };
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        self.counters[l].l1i_miss_cycles += l1_share;
-        self.counters[l].l2i_miss_cycles += service - l1_share;
-        self.counters[l].dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
-        svc.stall_cycles
-    }
-
-    fn service_d(&mut self, l: usize, start: u64, outcome: u8) -> u64 {
-        self.counters[l].l2d_accesses += 1;
-        let hit_cost = self.d_hit_cost[l];
-        if outcome == 1 {
-            self.counters[l].l1d_miss_cycles += hit_cost;
-            return hit_cost;
-        }
-        self.counters[l].l2d_misses += 1;
-        let svc = self.mem_d[l].service_miss(start, outcome == 3);
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        self.counters[l].l1d_miss_cycles += l1_share;
-        self.counters[l].l2d_miss_cycles += service - l1_share;
-        self.counters[l].dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
-        svc.stall_cycles
-    }
-
-    fn wb_wait_for_d_miss(
+    fn load(
         &mut self,
-        l: usize,
-        start: u64,
-        line_base: PhysAddr,
-        replaced: bool,
-    ) -> u64 {
-        let until = match self.bypass[l] {
-            WbBypass::Wait => self.wb_empty_at(l, start),
-            WbBypass::DirtyBit => {
-                if replaced {
-                    self.wb_empty_at(l, start)
-                } else {
-                    start
-                }
-            }
-            WbBypass::Associative => self
-                .wb_match_line(l, start, line_base)
-                .map_or(start, |t| t.max(start)),
-        };
-        let wait = until - start;
-        self.counters[l].wb_wait_cycles += wait;
-        wait
-    }
-
-    fn apply_enqueue(&mut self, l: usize, start: u64, addr: PhysAddr, code: u8) -> u64 {
-        let free_at = self.wb_slot_free_at(l, start);
-        let stall = free_at - start;
-        self.counters[l].wb_wait_cycles += stall;
-        self.counters[l].l2_drain_writes += 1;
-        let extra = if code == 0 {
-            0
-        } else {
-            self.counters[l].l2_drain_misses += 1;
-            self.mem_d[l].service_miss_raw(code == 2).stall_cycles as u32
-        };
-        let busy_from = free_at.max(self.wb_last[l]);
-        let completes = self.wb_enqueue(l, free_at, addr, extra);
-        self.counters[l].l2_drain_busy_cycles += completes - busy_from;
-        stall
-    }
-
-    fn apply_load(
-        &mut self,
-        l: usize,
+        pid: usize,
         dtlb: bool,
         outcome: u8,
         replaced: bool,
@@ -1138,40 +925,26 @@ impl CoPricer {
         victim: Option<(PhysAddr, u8)>,
     ) {
         let mut cycles = 0u64;
-        self.counters[l].loads += 1;
+        self.counters.loads += 1;
         if dtlb {
-            self.charge_tlb_miss(l, false, &mut cycles);
+            cycles += self.timing.tlb_miss(&mut self.counters, false);
         }
         if outcome != 0 {
-            self.counters[l].l1d_read_misses += 1;
-            let mut t = self.now[l] + cycles;
-            let wait = self.wb_wait_for_d_miss(l, t, line_base, replaced);
-            cycles += wait;
-            t += wait;
-            if let Some((addr, code)) = victim {
-                let stall = self.apply_enqueue(l, t, addr, code);
-                cycles += stall;
-                t += stall;
-            }
-            cycles += self.service_d(l, t, outcome);
+            self.counters.l1d_read_misses += 1;
+            cycles += self.d_miss(self.now + cycles, outcome, replaced, line_base, victim);
         }
-        self.now[l] += cycles;
-        let l2_missed = outcome >= 2;
-        let p = self.proc_entry(l);
+        self.now += cycles;
+        let p = self.proc_entry(pid);
         p.loads += 1;
         p.cycles += cycles;
-        if outcome != 0 {
-            p.l1d_misses += 1;
-        }
-        if l2_missed {
-            p.l2_misses += 1;
-        }
+        p.l1d_misses += u64::from(outcome != 0);
+        p.l2_misses += u64::from(outcome >= L2_MISS_CLEAN);
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn apply_store(
+    fn store(
         &mut self,
-        l: usize,
+        pid: usize,
         sb: u8,
         outcome: u8,
         replaced: bool,
@@ -1180,91 +953,39 @@ impl CoPricer {
         victim: Option<(PhysAddr, u8)>,
     ) {
         let mut cycles = 0u64;
-        self.counters[l].stores += 1;
+        self.counters.stores += 1;
         if sb & STORE_DTLB != 0 {
-            self.charge_tlb_miss(l, false, &mut cycles);
+            cycles += self.timing.tlb_miss(&mut self.counters, false);
         }
         let hit = sb & STORE_HIT != 0;
         if !hit {
-            self.counters[l].l1d_write_misses += 1;
+            self.counters.l1d_write_misses += 1;
         }
         if sb & STORE_EXTRA != 0 {
-            self.counters[l].l1_write_cycles += 1;
+            self.counters.l1_write_cycles += 1;
             cycles += 1;
         }
-        let mut t = self.now[l] + cycles;
-        if let Some((addr, code)) = wb_word {
-            let stall = self.apply_enqueue(l, t, addr, code);
-            cycles += stall;
-            t += stall;
+        if let Some(w) = wb_word {
+            cycles += self.enqueue(self.now + cycles, w);
         }
         if sb & STORE_FETCH != 0 {
-            let wait = self.wb_wait_for_d_miss(l, t, line_base, replaced);
-            cycles += wait;
-            t += wait;
-            if let Some((addr, code)) = victim {
-                let stall = self.apply_enqueue(l, t, addr, code);
-                cycles += stall;
-                t += stall;
-            }
-            cycles += self.service_d(l, t, outcome);
-        } else if let Some((addr, code)) = victim {
-            cycles += self.apply_enqueue(l, t, addr, code);
+            cycles += self.d_miss(self.now + cycles, outcome, replaced, line_base, victim);
+        } else if let Some(v) = victim {
+            cycles += self.enqueue(self.now + cycles, v);
         }
-        self.now[l] += cycles;
-        let l2_missed = outcome >= 2;
-        let p = self.proc_entry(l);
+        self.now += cycles;
+        let p = self.proc_entry(pid);
         p.stores += 1;
         p.cycles += cycles;
-        if !hit {
-            p.l1d_misses += 1;
-        }
-        if l2_missed {
-            p.l2_misses += 1;
-        }
-    }
-
-    fn into_results(
-        mut self,
-        cfgs: &[SimConfig],
-        profile: &FunctionalProfile,
-        warm: bool,
-    ) -> Vec<SimResult> {
-        let mut out = Vec::with_capacity(self.n);
-        for (l, cfg) in cfgs.iter().enumerate() {
-            debug_assert_eq!(
-                self.now[l],
-                self.counters[l].total_cycles(),
-                "cycle accounting must balance (lane {l})"
-            );
-            self.counters[l].syscall_switches = profile.syscall_switches;
-            self.counters[l].slice_switches = profile.slice_switches;
-            let counters = if warm {
-                self.counters[l].since(&self.warm_snapshot[l])
-            } else {
-                self.counters[l]
-            };
-            out.push(SimResult {
-                config: cfg.clone(),
-                counters,
-                completed: profile.completed.clone(),
-                per_process: active_processes(&self.per_proc[l]),
-                termination: if profile.budget_exhausted {
-                    Termination::BudgetExhausted
-                } else {
-                    Termination::Completed
-                },
-                checkpoints: Vec::new(),
-            });
-        }
-        out
+        p.l1d_misses += u64::from(!hit);
+        p.l2_misses += u64::from(outcome >= L2_MISS_CLEAN);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DiffCheckConfig, FaultConfig};
+    use crate::config::{DiffCheckConfig, FaultConfig, WbBypass};
     use crate::sim::Simulator;
     use crate::workload;
     use gaas_cache::fault::FaultRates;

@@ -796,7 +796,7 @@ impl Simulator {
             ("wb.total_enqueued", core.wb.total_enqueued()),
             (
                 "mem.demand_misses",
-                self.back.mem_d.total_misses() + self.back.mem_i.total_misses(),
+                self.back.timing.mem_d.total_misses() + self.back.timing.mem_i.total_misses(),
             ),
         ];
         let t = self

@@ -39,8 +39,10 @@
 //! earlier ones. The framing makes damage *local*: a torn tail, a
 //! flipped bit, or a short read loses exactly the record(s) it touches,
 //! and the salvage parser ([`inspect_journal`] exposes it) recovers
-//! every other record. Version-1 journals (a single JSON document) are
-//! still read, with the same per-record salvage. All journal I/O goes
+//! every other record. Any other file, including the single-document
+//! version-1 journals nothing writes any more, is unrecognised: all of
+//! its lines count as dropped and the first write replaces it. All
+//! journal I/O goes
 //! through [`crate::durability`] — `fsync` on commit behind the
 //! `durable_sync` knob, atomic rewrites with bounded retry — and is
 //! exercised against the seeded fault injection in [`crate::chaos`] by
@@ -961,9 +963,8 @@ struct JournalLoad {
 }
 
 /// Salvage parser: recovers every parseable record from `text`, dropping
-/// (and counting) only the damaged ones. Dispatches on the version-2
-/// header line; anything else is tried as a legacy version-1 JSON
-/// document with the same per-cell salvage.
+/// (and counting) only the damaged ones. A text without the version-2
+/// header line is unrecognised: version 0, every non-blank line dropped.
 fn parse_journal(text: &str) -> JournalLoad {
     if let Some(body) = text.strip_prefix(JOURNAL_HEADER) {
         return parse_journal_v2(body);
@@ -978,7 +979,12 @@ fn parse_journal(text: &str) -> JournalLoad {
             dropped: 1,
         };
     }
-    parse_journal_v1(text)
+    let lines = text.lines().filter(|l| !l.trim().is_empty()).count() as u64;
+    JournalLoad {
+        cells: BTreeMap::new(),
+        version: 0,
+        dropped: lines.max(1),
+    }
 }
 
 fn parse_journal_v2(body: &str) -> JournalLoad {
@@ -1003,50 +1009,6 @@ fn parse_journal_v2(body: &str) -> JournalLoad {
     }
 }
 
-fn parse_journal_v1(text: &str) -> JournalLoad {
-    let mut cells = BTreeMap::new();
-    let mut dropped = 0u64;
-    let Ok(root) = json::parse(text) else {
-        // Not parseable as a whole document: nothing to salvage from a
-        // legacy journal (version-2 framing exists precisely to avoid
-        // this all-or-nothing cliff).
-        let lines = text.lines().filter(|l| !l.trim().is_empty()).count() as u64;
-        return JournalLoad {
-            cells,
-            version: 0,
-            dropped: lines.max(1),
-        };
-    };
-    let version = root.get("version").and_then(Json::as_u64).unwrap_or(0) as u32;
-    if version != 1 {
-        return JournalLoad {
-            cells,
-            version,
-            dropped: 1,
-        };
-    }
-    match root.get("cells").and_then(Json::as_obj) {
-        Some(obj) => {
-            for (k, v) in obj {
-                match JournalEntry::from_json(v) {
-                    // A legacy cell that decodes is kept; one that does
-                    // not loses only itself.
-                    Some(e) => {
-                        cells.insert(k.clone(), e);
-                    }
-                    None => dropped += 1,
-                }
-            }
-        }
-        None => dropped += 1,
-    }
-    JournalLoad {
-        cells,
-        version,
-        dropped,
-    }
-}
-
 /// Status summary of one surviving journal record (see
 /// [`inspect_journal`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1064,8 +1026,8 @@ pub enum RecordStatus {
 /// recovers plus how many it had to drop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalInspection {
-    /// Format version found on disk (2 current, 1 legacy JSON, 0
-    /// unrecognized).
+    /// Format version found on disk: 2, or 0 for an unrecognised file
+    /// (including a version-1 JSON journal, which is no longer read).
     pub version: u32,
     /// Surviving records in key order: cell key → status.
     pub records: Vec<(String, RecordStatus)>,
@@ -1695,18 +1657,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_journal_salvages_per_cell() {
-        // A handcrafted version-1 document: one good cell, one with a
-        // mangled entry. The good one must survive.
+    fn non_v2_journal_is_unrecognised() {
+        // A version-1 document (a well-formed cell included) takes the
+        // unrecognised-file path: version 0, every non-blank line dropped.
         let text = r#"{"version":1,"cells":{
-            "good-key":{"status":"failed","error":"typed","attempts":1},
-            "bad-key":{"status":"failed","error":42}
+
+            "good-key":{"status":"failed","error":"typed","attempts":1}
         }}"#;
         let load = parse_journal(text);
-        assert_eq!(load.version, 1);
-        assert_eq!(load.dropped, 1);
-        assert_eq!(load.cells.len(), 1);
-        assert!(load.cells.contains_key("good-key"));
+        assert_eq!(load.version, 0);
+        assert_eq!(load.dropped, 3);
+        assert!(load.cells.is_empty());
     }
 
     #[test]

@@ -136,15 +136,23 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level and parses untrusted request lines (the serve daemon),
+/// so an unbounded depth would let one line overflow the stack; no
+/// document this crate writes nests more than a few levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document (trailing garbage is an error).
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first syntax error.
+/// Returns a human-readable description of the first syntax error, or
+/// of nesting deeper than 128 arrays/objects.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -158,6 +166,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -204,8 +214,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -305,6 +315,21 @@ impl Parser<'_> {
             .map_err(|_| format!("invalid number '{text}'"))
     }
 
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
+    }
+
     fn array(&mut self) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
@@ -353,6 +378,28 @@ impl Parser<'_> {
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nesting_is_capped_for_arrays_and_objects() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", r#"{"a":"#.repeat(n), "}".repeat(n));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        for doc in [arrays(MAX_DEPTH + 1), objects(MAX_DEPTH + 1)] {
+            let err = parse(&doc).expect_err("one level too deep");
+            assert!(err.contains("nesting deeper"), "{err}");
+        }
+        // Unterminated megabyte-deep input: an error, not a stack overflow.
+        for open in ["[", r#"{"a":"#] {
+            let err = parse(&open.repeat(1 << 20)).expect_err("too deep");
+            assert!(err.contains("nesting deeper"), "{err}");
         }
     }
 }

@@ -123,7 +123,17 @@ fn timing_variant(base: &SimConfig, i: usize) -> SimConfig {
                 l2d_dirty_buffer: false,
             });
         }
-        _ => unreachable!("variant table has 7 entries"),
+        7 => {
+            // Associative matching over more than 64 slots.
+            wb.depth = 80;
+            b.write_buffer(wb);
+            b.concurrency(ConcurrencyConfig {
+                concurrent_i_refill: false,
+                d_read_bypass: WbBypass::Associative,
+                l2d_dirty_buffer: false,
+            });
+        }
+        _ => unreachable!("variant table has 8 entries"),
     }
     b.build().expect("timing variant must stay valid")
 }
@@ -136,13 +146,14 @@ fn assert_result_identical(co: &SimResult, reference: &SimResult, what: &str) {
     assert_eq!(co.config, reference.config, "{what}: config echo");
 }
 
-/// The tentpole differential: for eight geometry groups with lane counts
-/// cycling through 1, 2, 4, and 7, one co-priced pass must match a full
-/// simulation of every variant byte for byte.
+/// The main differential: for eight geometry groups with lane counts
+/// cycling through 1, 2, 4, 7 and 8 (the write-through groups carry the
+/// deep-buffer variant), one co-priced pass must match a full simulation
+/// of every variant byte for byte.
 #[test]
 fn copriced_groups_match_per_variant_pricing() {
     let geoms = geometries();
-    let lane_counts = [1usize, 2, 4, 7, 2, 7, 4, 7];
+    let lane_counts = [1usize, 2, 8, 8, 2, 7, 4, 7];
     assert_eq!(geoms.len(), lane_counts.len());
 
     // The sweep really is eight distinct groups.

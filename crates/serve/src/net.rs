@@ -364,6 +364,15 @@ mod tests {
         let (resp, stop) = handle_request("not json", &core);
         assert!(!stop);
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+        // A megabyte of '[' must not overflow the parser's stack.
+        let (resp, stop) = handle_request(&"[".repeat(1 << 20), &core);
+        assert!(!stop);
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+        assert!(resp
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("nesting deeper"));
         let (resp, _) = handle_request(r#"{"op":"status"}"#, &core);
         assert!(resp
             .get("error")

@@ -2,14 +2,14 @@
 //!
 //! Lets workloads be captured once and replayed (the paper pipes `pixie`
 //! output through file descriptors; we offer files as the moral
-//! equivalent for fixtures and debugging). The format is versioned and
-//! self-describing; since version 2 it is **checksummed**, so bit
-//! corruption anywhere in the stream — not just truncation — is detected
-//! rather than silently misparsed (cf. the parity/ECC theme of the
-//! paper's own SRAM arrays). Version 3 moves the event payload onto the
-//! [`crate::codec`] block encoding: events are delta-compressed into
-//! self-contained checksummed blocks, a tail index records every block's
-//! offset, and a whole-file CRC closes the stream:
+//! equivalent for fixtures and debugging). The format is versioned,
+//! self-describing and **checksummed**, so bit corruption anywhere in the
+//! stream — not just truncation — is detected rather than silently
+//! misparsed (cf. the parity/ECC theme of the paper's own SRAM arrays).
+//! Version 3 carries the events in the [`crate::codec`] block encoding:
+//! events are delta-compressed into self-contained checksummed blocks, a
+//! tail index records every block's offset, and a whole-file CRC closes
+//! the stream:
 //!
 //! ```text
 //! magic "GTRC" | version u32 LE | event count u64 LE     (16-byte header)
@@ -19,7 +19,7 @@
 //! file crc32 u32 LE                                       (over all prior bytes)
 //! ```
 //!
-//! The layering buys three properties the flat v2 stream lacked:
+//! The layering buys three properties a flat record stream lacks:
 //!
 //! * **Size** — typical streams shrink 3–4× (delta chains per access
 //!   kind; see [`crate::codec`]).
@@ -29,25 +29,21 @@
 //!   the tail index (or a sequential scan when the index itself is
 //!   damaged), losing at most the corrupted block.
 //!
-//! Version-2 files (flat 10-byte records, stream CRC footer) and
-//! version-1 files (no footer) are still read; writers emit version 3.
+//! Only version 3 is read; the flat-record versions 1 and 2, which
+//! nothing writes any more, are refused with
+//! [`ReadTraceError::BadVersion`].
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use crate::addr::VirtAddr;
 use crate::codec::{self, BlockError, BLOCK_EVENTS, MAX_EVENT_BYTES};
 use crate::crc::{crc32, Crc32};
-use crate::event::{AccessKind, Trace, TraceEvent};
+use crate::event::{Trace, TraceEvent};
 
 const MAGIC: [u8; 4] = *b"GTRC";
-/// Current (written) format version: codec blocks + tail index.
+/// The format version: codec blocks + tail index.
 const VERSION: u32 = 3;
-/// Flat checksummed format: 10-byte records, stream CRC footer.
-const V2_VERSION: u32 = 2;
-/// Legacy format version: no footer; still accepted by readers.
-const LEGACY_VERSION: u32 = 1;
-/// Fixed header size (magic + version + count) for every version.
+/// Fixed header size (magic + version + count).
 const HEADER_BYTES: usize = 16;
 /// Tail bytes after the block offsets: n_blocks + index crc + file crc.
 const INDEX_TAIL_BYTES: usize = 12;
@@ -61,21 +57,19 @@ pub enum ReadTraceError {
     BadMagic,
     /// Unsupported format version.
     BadVersion(u32),
-    /// An event record carried an invalid kind tag.
-    BadKind(u8),
     /// The stream ended before the declared event count (or the footer)
     /// was read.
     Truncated,
     /// A checksum did not match the stream contents: the file is
-    /// bit-corrupt. Raised by the version-2 stream footer, a version-3
-    /// block CRC, the index CRC, or the whole-file CRC.
+    /// bit-corrupt. Raised by a block CRC, the index CRC, or the
+    /// whole-file CRC.
     BadChecksum {
         /// CRC32 stored in the file.
         stored: u32,
         /// CRC32 computed over the bytes actually read.
         computed: u32,
     },
-    /// A version-3 event block or the tail index was structurally
+    /// An event block or the tail index was structurally
     /// malformed (impossible count, oversized frame, offsets that do not
     /// match the blocks actually read).
     BadBlock(BlockError),
@@ -87,7 +81,6 @@ impl fmt::Display for ReadTraceError {
             ReadTraceError::Io(e) => write!(f, "i/o error reading trace: {e}"),
             ReadTraceError::BadMagic => write!(f, "not a GTRC trace file"),
             ReadTraceError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
-            ReadTraceError::BadKind(k) => write!(f, "invalid event kind tag {k}"),
             ReadTraceError::Truncated => write!(f, "trace file truncated"),
             ReadTraceError::BadChecksum { stored, computed } => write!(
                 f,
@@ -131,28 +124,6 @@ fn block_to_read_error(e: BlockError) -> ReadTraceError {
         }
         other => ReadTraceError::BadBlock(other),
     }
-}
-
-/// Flat record tag of the v1/v2 layouts; writers emit v3, so this
-/// survives only for test fixtures of the legacy formats.
-#[cfg(test)]
-fn encode_tag(ev: &TraceEvent) -> u8 {
-    let kind = match ev.kind {
-        AccessKind::IFetch => 0u8,
-        AccessKind::Load => 1,
-        AccessKind::Store => 2,
-    };
-    kind | ((ev.partial_word as u8) << 2) | ((ev.syscall as u8) << 3)
-}
-
-fn decode_tag(tag: u8) -> Result<(AccessKind, bool, bool), ReadTraceError> {
-    let kind = match tag & 0b11 {
-        0 => AccessKind::IFetch,
-        1 => AccessKind::Load,
-        2 => AccessKind::Store,
-        k => return Err(ReadTraceError::BadKind(k)),
-    };
-    Ok((kind, tag & 0b100 != 0, tag & 0b1000 != 0))
 }
 
 /// Writes `events` to `writer` in GTRC version-3 format (delta-compressed
@@ -236,41 +207,31 @@ pub fn read_trace<R: Read>(reader: R) -> Result<Vec<TraceEvent>, ReadTraceError>
     }
 }
 
-fn raw_to_addr(raw: u64) -> VirtAddr {
-    use crate::addr::{Pid, PID_SHIFT};
-    VirtAddr::new(
-        Pid::new((raw >> PID_SHIFT) as u8),
-        raw & ((1u64 << PID_SHIFT) - 1),
-    )
-}
-
 /// A streaming GTRC reader: yields events incrementally without
 /// materializing the whole trace (full-scale traces run to billions of
 /// events). Malformed records end the stream; check
 /// [`TraceReader::error`] after exhaustion to distinguish clean EOF from
-/// corruption. Version-3 streams buffer one decoded block at a time and
-/// verify each block's CRC before any of its events are yielded; the
+/// corruption. The reader buffers one decoded block at a time and
+/// verifies each block's CRC before any of its events are yielded; the
 /// tail index and whole-file CRC are verified when the final event has
-/// been read. Version-2 streams verify the stream footer at the same
-/// point. Mismatches surface as [`ReadTraceError::BadChecksum`] through
-/// the same channel.
+/// been read. Mismatches surface as [`ReadTraceError::BadChecksum`]
+/// through the same channel.
 #[derive(Debug)]
 pub struct TraceReader<R> {
     reader: R,
     remaining: u64,
-    version: u32,
     crc: Crc32,
     footer_checked: bool,
     error: Option<ReadTraceError>,
-    /// v3: the current decoded block and the cursor into it.
+    /// The current decoded block and the cursor into it.
     block: Vec<TraceEvent>,
     block_pos: usize,
-    /// v3: absolute offsets of the blocks read so far, checked against
-    /// the tail index at EOF.
+    /// Absolute offsets of the blocks read so far, checked against the
+    /// tail index at EOF.
     offsets: Vec<u64>,
-    /// v3: file offset of the next block.
+    /// File offset of the next block.
     next_off: u64,
-    /// v3: scratch frame buffer, reused across blocks.
+    /// Scratch frame buffer, reused across blocks.
     frame: Vec<u8>,
 }
 
@@ -291,7 +252,7 @@ impl<R: Read> TraceReader<R> {
         let mut v = [0u8; 4];
         reader.read_exact(&mut v)?;
         let version = u32::from_le_bytes(v);
-        if version != VERSION && version != V2_VERSION && version != LEGACY_VERSION {
+        if version != VERSION {
             return Err(ReadTraceError::BadVersion(version));
         }
         crc.update(&v);
@@ -301,7 +262,6 @@ impl<R: Read> TraceReader<R> {
         Ok(TraceReader {
             reader,
             remaining: u64::from_le_bytes(c),
-            version,
             crc,
             footer_checked: false,
             error: None,
@@ -323,26 +283,7 @@ impl<R: Read> TraceReader<R> {
         self.error.as_ref()
     }
 
-    /// Reads and verifies the version-2 footer once all events are
-    /// consumed (no-op for legacy streams).
-    fn check_footer(&mut self) {
-        if self.footer_checked || self.version == LEGACY_VERSION {
-            return;
-        }
-        self.footer_checked = true;
-        let mut f = [0u8; 4];
-        if let Err(e) = self.reader.read_exact(&mut f) {
-            self.error = Some(eof_to_truncated(e));
-            return;
-        }
-        let stored = u32::from_le_bytes(f);
-        let computed = self.crc.finish();
-        if stored != computed {
-            self.error = Some(ReadTraceError::BadChecksum { stored, computed });
-        }
-    }
-
-    /// Reads the next version-3 block into `self.block`, verifying its
+    /// Reads the next block into `self.block`, verifying its
     /// CRC before decoding.
     fn read_block(&mut self) -> Result<(), ReadTraceError> {
         let mut head = [0u8; 8];
@@ -377,10 +318,10 @@ impl<R: Read> TraceReader<R> {
         Ok(())
     }
 
-    /// Reads and verifies the version-3 tail: the block index (offsets
+    /// Reads and verifies the tail: the block index (offsets
     /// must match the blocks actually read), the index CRC, and the
     /// whole-file CRC.
-    fn check_footer_v3(&mut self) {
+    fn check_footer(&mut self) {
         if self.footer_checked {
             return;
         }
@@ -424,25 +365,6 @@ impl<R: Read> TraceReader<R> {
             self.error = Some(ReadTraceError::BadChecksum { stored, computed });
         }
     }
-
-    fn next_v3(&mut self) -> Option<TraceEvent> {
-        loop {
-            if self.block_pos < self.block.len() {
-                let ev = self.block[self.block_pos];
-                self.block_pos += 1;
-                self.remaining -= 1;
-                return Some(ev);
-            }
-            if self.remaining == 0 {
-                self.check_footer_v3();
-                return None;
-            }
-            if let Err(e) = self.read_block() {
-                self.error = Some(e);
-                return None;
-            }
-        }
-    }
 }
 
 impl<R: Read> Iterator for TraceReader<R> {
@@ -452,35 +374,22 @@ impl<R: Read> Iterator for TraceReader<R> {
         if self.error.is_some() {
             return None;
         }
-        if self.version == VERSION {
-            return self.next_v3();
-        }
-        if self.remaining == 0 {
-            self.check_footer();
-            return None;
-        }
-        let mut rec = [0u8; 10];
-        if let Err(e) = self.reader.read_exact(&mut rec) {
-            self.error = Some(eof_to_truncated(e));
-            return None;
-        }
-        self.crc.update(&rec);
-        let (kind, partial_word, syscall) = match decode_tag(rec[0]) {
-            Ok(t) => t,
-            Err(e) => {
+        loop {
+            if self.block_pos < self.block.len() {
+                let ev = self.block[self.block_pos];
+                self.block_pos += 1;
+                self.remaining -= 1;
+                return Some(ev);
+            }
+            if self.remaining == 0 {
+                self.check_footer();
+                return None;
+            }
+            if let Err(e) = self.read_block() {
                 self.error = Some(e);
                 return None;
             }
-        };
-        self.remaining -= 1;
-        let raw = u64::from_le_bytes(rec[2..10].try_into().expect("slice is 8 bytes"));
-        Some(TraceEvent {
-            kind,
-            addr: raw_to_addr(raw),
-            stall_cycles: rec[1],
-            partial_word,
-            syscall,
-        })
+        }
     }
 }
 
@@ -674,7 +583,7 @@ impl Trace for FileTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::Pid;
+    use crate::addr::{Pid, VirtAddr};
 
     fn sample_events() -> Vec<TraceEvent> {
         let a = VirtAddr::new(Pid::new(3), 0x1000);
@@ -703,36 +612,6 @@ mod tests {
         out
     }
 
-    /// Encodes `events` in the legacy (version 1, footer-less) layout.
-    fn legacy_bytes(events: &[TraceEvent]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&LEGACY_VERSION.to_le_bytes());
-        buf.extend_from_slice(&(events.len() as u64).to_le_bytes());
-        for ev in events {
-            buf.push(encode_tag(ev));
-            buf.push(ev.stall_cycles);
-            buf.extend_from_slice(&ev.addr.raw().to_le_bytes());
-        }
-        buf
-    }
-
-    /// Encodes `events` in the version-2 (flat records, stream CRC) layout.
-    fn v2_bytes(events: &[TraceEvent]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&V2_VERSION.to_le_bytes());
-        buf.extend_from_slice(&(events.len() as u64).to_le_bytes());
-        for ev in events {
-            buf.push(encode_tag(ev));
-            buf.push(ev.stall_cycles);
-            buf.extend_from_slice(&ev.addr.raw().to_le_bytes());
-        }
-        let digest = crc32(&buf);
-        buf.extend_from_slice(&digest.to_le_bytes());
-        buf
-    }
-
     #[test]
     fn round_trip_preserves_events() {
         let events = sample_events();
@@ -756,42 +635,13 @@ mod tests {
         let events = big_events(2 * BLOCK_EVENTS);
         let mut buf = Vec::new();
         write_trace(&mut buf, &events).expect("write");
-        let flat = v2_bytes(&events);
+        // Header, 10-byte flat records (tag, stall, address), CRC footer.
+        let flat = HEADER_BYTES + 10 * events.len() + 4;
         assert!(
-            buf.len() * 2 <= flat.len(),
-            "v3 file should be ≤ half the v2 size: {} vs {}",
-            buf.len(),
-            flat.len()
+            buf.len() * 2 <= flat,
+            "v3 file should be ≤ half the flat size: {} vs {flat}",
+            buf.len()
         );
-    }
-
-    #[test]
-    fn legacy_version_still_reads() {
-        let events = sample_events();
-        let buf = legacy_bytes(&events);
-        let back = read_trace(buf.as_slice()).expect("legacy read");
-        assert_eq!(back, events);
-        let mut r = TraceReader::new(buf.as_slice()).expect("header");
-        let streamed: Vec<_> = r.by_ref().collect();
-        assert_eq!(streamed, events);
-        assert!(r.error().is_none(), "legacy streams have no footer");
-    }
-
-    #[test]
-    fn v2_version_still_reads() {
-        let events = sample_events();
-        let buf = v2_bytes(&events);
-        let back = read_trace(buf.as_slice()).expect("v2 read");
-        assert_eq!(back, events);
-    }
-
-    #[test]
-    fn v2_flipped_bit_rejected() {
-        let events = sample_events();
-        let mut buf = v2_bytes(&events);
-        buf[HEADER_BYTES + 3] ^= 0x10; // inside the first record
-        let err = read_trace(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, ReadTraceError::BadChecksum { .. }));
     }
 
     #[test]
@@ -800,14 +650,41 @@ mod tests {
         assert!(matches!(err, ReadTraceError::BadMagic));
     }
 
+    /// A bare header of the given version declaring `count` events.
+    fn header(version: u32, count: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&version.to_le_bytes());
+        buf.extend_from_slice(&count.to_le_bytes());
+        buf
+    }
+
     #[test]
     fn bad_version_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"GTRC");
-        buf.extend_from_slice(&99u32.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        let err = read_trace(buf.as_slice()).unwrap_err();
+        let err = read_trace(header(99, 0).as_slice()).unwrap_err();
         assert!(matches!(err, ReadTraceError::BadVersion(99)));
+    }
+
+    /// Versions 1 and 2 (flat 10-byte records) are no longer read: a
+    /// file of either is refused at the header.
+    fn assert_flat_record_version_rejected(version: u32, tail_bytes: usize) {
+        let mut buf = header(version, 1);
+        buf.extend_from_slice(&vec![0u8; tail_bytes]);
+        let err = read_trace(buf.as_slice()).unwrap_err();
+        assert!(
+            matches!(err, ReadTraceError::BadVersion(v) if v == version),
+            "version {version}: {err}"
+        );
+    }
+
+    #[test]
+    fn legacy_version_is_rejected() {
+        assert_flat_record_version_rejected(1, 10); // one record, no footer
+    }
+
+    #[test]
+    fn v2_version_is_rejected() {
+        assert_flat_record_version_rejected(2, 10 + 4); // one record + CRC footer
     }
 
     #[test]
@@ -873,21 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn bad_kind_rejected_in_v2() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"GTRC");
-        buf.extend_from_slice(&V2_VERSION.to_le_bytes());
-        buf.extend_from_slice(&1u64.to_le_bytes());
-        buf.push(0b11); // kind tag 3 is invalid
-        buf.push(0);
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        let digest = crc32(&buf);
-        buf.extend_from_slice(&digest.to_le_bytes());
-        let err = read_trace(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, ReadTraceError::BadKind(3)));
-    }
-
-    #[test]
     fn file_trace_replays_with_name() {
         let events = sample_events();
         let mut buf = Vec::new();
@@ -915,17 +777,6 @@ mod tests {
         assert_eq!(streamed, events);
         assert!(r.error().is_none(), "clean EOF");
         assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn streaming_reader_reports_truncation_v2() {
-        let events = sample_events();
-        let mut buf = v2_bytes(&events);
-        buf.truncate(buf.len() - 4 - 5); // footer plus part of the last event
-        let mut r = TraceReader::new(buf.as_slice()).expect("header");
-        let streamed: Vec<_> = r.by_ref().collect();
-        assert_eq!(streamed.len(), events.len() - 1);
-        assert!(matches!(r.error(), Some(ReadTraceError::Truncated)));
     }
 
     #[test]
@@ -1020,7 +871,8 @@ mod tests {
             salvage_trace(b"NOPE").unwrap_err(),
             ReadTraceError::BadMagic
         ));
-        let v2 = v2_bytes(&sample_events());
+        let mut v2 = header(2, 1);
+        v2.extend_from_slice(&[0u8; 10 + 4]);
         assert!(matches!(
             salvage_trace(&v2).unwrap_err(),
             ReadTraceError::BadVersion(2)
@@ -1032,7 +884,6 @@ mod tests {
         for e in [
             ReadTraceError::BadMagic,
             ReadTraceError::BadVersion(2),
-            ReadTraceError::BadKind(3),
             ReadTraceError::Truncated,
             ReadTraceError::BadChecksum {
                 stored: 1,

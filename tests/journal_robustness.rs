@@ -191,11 +191,11 @@ fn seeded_mutations_are_always_detected_never_misparsed() {
 }
 
 #[test]
-fn legacy_v1_journal_loads_and_upgrades() {
+fn legacy_v1_journal_is_dropped_and_rewritten() {
     let dir = tmp_dir("legacy");
     let journal = dir.join("soak.journal");
-    // A handcrafted version-1 document: one decodable cell (keyed like a
-    // real one would be) and one mangled cell.
+    // A handcrafted version-1 document with a decodable cell keyed like
+    // a real one would be. Version 1 is no longer read.
     let cfgs = cheap_failing_configs();
     let key = campaign::cell_key(&cfgs[0], SCALE);
     let text = format!(
@@ -206,21 +206,20 @@ fn legacy_v1_journal_loads_and_upgrades() {
     std::fs::write(&journal, text).expect("write legacy");
 
     let insp = campaign::inspect_journal(&journal).expect("inspect");
-    assert_eq!(insp.version, 1);
-    assert_eq!(insp.dropped, 1, "the mangled cell only loses itself");
-    assert_eq!(insp.records, vec![(key, RecordStatus::Failed)]);
+    assert_eq!(insp.version, 0, "unrecognised");
+    assert_eq!(insp.dropped, 1, "its one line is dropped");
+    assert!(insp.records.is_empty());
 
-    // Opening with resume reuses the surviving legacy cell, and the
-    // first new record rewrites the file in version-2 framing.
+    // Opening with resume reuses nothing, and the first new record
+    // rewrites the file in version-2 framing.
     let mut c = Campaign::open(&journal, true, CellOptions::default()).expect("open");
-    assert!(!c.cell(&cfgs[0], SCALE).is_done(), "reused legacy failure");
-    let _ = c.cell(&cfgs[1], SCALE);
-    assert_eq!(c.stats().reused, 1);
+    assert!(!c.cell(&cfgs[0], SCALE).is_done(), "typed failure");
+    assert_eq!(c.stats().reused, 0);
     drop(c);
-    let upgraded = campaign::inspect_journal(&journal).expect("inspect");
-    assert_eq!(upgraded.version, 2, "first write upgrades the format");
-    assert_eq!(upgraded.dropped, 0);
-    assert_eq!(upgraded.records.len(), 2);
+    let rewritten = campaign::inspect_journal(&journal).expect("inspect");
+    assert_eq!(rewritten.version, 2, "first write replaces the file");
+    assert_eq!(rewritten.dropped, 0);
+    assert_eq!(rewritten.records, vec![(key, RecordStatus::Failed)]);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
