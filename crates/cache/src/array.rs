@@ -38,15 +38,14 @@
 //! validity branch: "first invalid way, else LRU way" falls out of
 //! "first minimum".
 //!
-//! The pre-PR scalar implementation is preserved unchanged as
-//! [`reference::RefCacheArray`] and the two are cross-checked
-//! access-for-access by the `packed_vs_reference` differential fuzz test.
+//! The earlier scalar implementation is preserved unchanged as the
+//! `RefCacheArray` test helper (`tests/reference/mod.rs`), and the two
+//! are cross-checked access-for-access by the `packed_vs_reference`
+//! differential fuzz test.
 
 use std::fmt;
 
 use gaas_trace::PhysAddr;
-
-pub mod reference;
 
 /// Tag value of an empty way. Line base addresses are word addresses of
 /// the simulated 32-bit machine (`< 2^40` even with the PID prefix), so

@@ -54,7 +54,6 @@ pub mod policy;
 pub mod tlb;
 pub mod write_buffer;
 
-pub use array::reference::RefCacheArray;
 pub use array::{CacheArray, CacheGeometry, Evicted, GeometryError, Line, LineRef};
 pub use classify::{MissClass, ThreeCClassifier, ThreeCCounts};
 pub use fault::{

@@ -11,9 +11,12 @@
 //! Over a million accesses total — any divergence names the geometry,
 //! operation index, and address that produced it.
 
-use gaas_cache::{CacheArray, CacheGeometry, RefCacheArray};
+mod reference;
+
+use gaas_cache::{CacheArray, CacheGeometry};
 use gaas_trace::rng::SmallRng;
 use gaas_trace::PhysAddr;
+use reference::RefCacheArray;
 
 /// Accesses per geometry; the suite crosses 8 geometries for >1.2M total.
 const OPS_PER_GEOMETRY: usize = 160_000;

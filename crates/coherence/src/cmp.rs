@@ -1,23 +1,28 @@
 //! The CMP engine: N per-core L1 front ends over the shared L2.
 //!
-//! [`CmpSimulator`] owns N instances of the single-CPU simulator's
-//! per-core pipeline ([`gaas_sim::Core`]: L1-I/L1-D, TLBs, write buffer,
-//! timing and functional clocks, counters), each with its own scheduler,
-//! in front of one shared [`gaas_sim::Backside`] (the L2 arrays,
-//! main-memory system, page mapper), and keeps the L1-D copies coherent
-//! with a directory-filtered MESI invalidation protocol (see
-//! [`crate::mesi`], [`crate::directory`]).
+//! [`CmpSimulator`] is a [`gaas_sim::Machine`] of N instances of the
+//! single-CPU simulator's per-core pipeline ([`gaas_sim::Core`]:
+//! L1-I/L1-D, TLBs, write buffer, timing and functional clocks,
+//! counters), each with its own scheduler, in front of one shared
+//! [`gaas_sim::Backside`] (the L2 arrays, main-memory system, page
+//! mapper), and keeps the L1-D copies coherent with a directory-filtered
+//! MESI invalidation protocol (see [`crate::mesi`], [`crate::directory`]).
+//! It has no run loop of its own: [`Machine::run`] drives the cores, and
+//! this module supplies the protocol through [`Coherence`] — the
+//! `Snoop` hook for each data access and the coherence oracle's check
+//! after each instruction. Fault injection, checkpoints, the instruction
+//! budget and cancellation come with the driver.
 //!
 //! ## The 1-core identity anchor
 //!
 //! A 1-core CMP run is **byte-identical** to [`gaas_sim::Simulator`] on
 //! the same configuration and workload (test-enforced). Both engines run
-//! the same cycle rules — the pipeline is written once — and the
-//! coherence actions plug into it through a [`CoherenceHook`] that only
-//! runs with a second core: a 1-core run passes the single CPU's
-//! [`NoCoherence`]. That identity pins all CMP results to the validated
-//! single-CPU model: whatever a multi-core run shows beyond the 1-core
-//! anchor is attributable to sharing, not to engine drift.
+//! the same cycle rules and the same run driver, and the coherence
+//! actions plug into the pipeline through a [`CoherenceHook`] that only
+//! runs with a second core: with one core the driver passes
+//! [`gaas_sim::NoCoherence`]. That identity pins all CMP results to the
+//! validated single-CPU model: whatever a multi-core run shows beyond
+//! the 1-core anchor is attributable to sharing, not to engine drift.
 //!
 //! Cores take the pipeline's same-line/same-page memo fast paths. A
 //! remote invalidation clears the invalidated core's load memo, and with
@@ -48,10 +53,8 @@
 
 use gaas_mcm::SnoopBus;
 use gaas_sim::config::{ConfigError, SimConfig};
-use gaas_sim::cpi::{active_processes, Counters, ProcCounters};
-use gaas_sim::sched::{Instruction, Scheduler};
 use gaas_sim::{
-    Backside, CancelToken, CoherenceHook, Core, NoCoherence, SimError, SimResult, Termination,
+    Backside, CancelToken, Coherence, CoherenceHook, Core, Counters, Machine, SimError, SimResult,
     Trace, MAX_CORES,
 };
 use gaas_trace::PhysAddr;
@@ -59,10 +62,6 @@ use gaas_trace::PhysAddr;
 use crate::directory::Directory;
 use crate::mesi::{next_state, MesiEvent, MesiState};
 use crate::oracle::CoherenceOracle;
-
-/// Mirrors the single-CPU simulator's cancellation poll interval so the
-/// 1-core identity covers cancellation boundaries too.
-const CANCEL_CHECK_INTERVAL: u64 = 8192;
 
 /// Result of a CMP run: the merged [`SimResult`] plus the per-core
 /// counter breakdown (warm-up already excluded from both).
@@ -89,13 +88,8 @@ struct Protocol {
 
 /// The chip-multiprocessor simulator (see the module docs).
 pub struct CmpSimulator {
-    cfg: SimConfig,
-    cores: Vec<Core>,
-    /// One scheduler per core, installed by `run_warmed`.
-    scheds: Vec<Scheduler>,
-    back: Backside,
+    m: Machine,
     protocol: Protocol,
-    cancel: Option<CancelToken>,
 }
 
 impl CmpSimulator {
@@ -109,53 +103,46 @@ impl CmpSimulator {
     /// uses a feature the CMP engine does not implement
     /// ([`SimConfig::check_cmp_support`]).
     pub fn new(cfg: SimConfig) -> Result<Self, ConfigError> {
-        cfg.validate()?;
+        let m = Machine::new(cfg)?;
+        let cfg = m.config();
         // For CMP-enabled configs validate() already applies the
         // refusals; a plain 1-core config could still carry them, and
         // this engine would silently ignore them — refuse instead.
         cfg.check_cmp_support()?;
-        let n = cfg.cmp.cores as usize;
-        let cores = (0..n)
-            .map(|_| Core::new(&cfg))
-            .collect::<Result<Vec<_>, ConfigError>>()?;
-        Ok(CmpSimulator {
-            cores,
-            scheds: Vec::new(),
-            back: Backside::new(&cfg)?,
-            protocol: Protocol {
-                dir: Directory::new(),
-                bus: SnoopBus::new(cfg.cmp.snoop_bus_cycles),
-                oracle: cfg.diffcheck.enabled.then(|| CoherenceOracle::new(n)),
-                d_line_mask: !(u64::from(cfg.l1d.line_words) - 1),
-                snoop_bus_cycles: cfg.cmp.snoop_bus_cycles as u64,
-                c2c_cycles: cfg.cmp.c2c_transfer_cycles as u64,
-                inv_cycles: cfg.cmp.invalidate_cycles as u64,
-            },
-            cancel: None,
-            cfg,
-        })
+        let protocol = Protocol {
+            dir: Directory::new(),
+            bus: SnoopBus::new(cfg.cmp.snoop_bus_cycles),
+            oracle: cfg
+                .diffcheck
+                .enabled
+                .then(|| CoherenceOracle::new(cfg.cmp.cores as usize)),
+            d_line_mask: !(u64::from(cfg.l1d.line_words) - 1),
+            snoop_bus_cycles: cfg.cmp.snoop_bus_cycles as u64,
+            c2c_cycles: cfg.cmp.c2c_transfer_cycles as u64,
+            inv_cycles: cfg.cmp.invalidate_cycles as u64,
+        };
+        Ok(CmpSimulator { m, protocol })
     }
 
     /// Installs a cooperative-cancellation token (same contract as the
     /// single-CPU simulator's).
     pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
+        self.m.set_cancel_token(token);
     }
 
     /// Runs `per_core` workloads (one trace list per core) to
-    /// completion, discarding the statistics of the first
-    /// `warmup_instructions` instructions *summed over all cores*.
-    ///
-    /// Cores interleave by functional-clock order (earliest `fnow`
-    /// executes next; ties resolve to the lowest core id), which makes
-    /// the interleaving deterministic and independent of timing knobs —
-    /// the same property the single-CPU scheduler has.
+    /// completion through the shared run driver ([`Machine::run`]),
+    /// discarding the statistics of the first `warmup_instructions`
+    /// instructions *summed over all cores*. The instruction budget and
+    /// checkpoints count the same machine-wide total.
     ///
     /// # Errors
     ///
-    /// [`SimError::Cancelled`] when the token fires, and
-    /// [`SimError::Coherence`] when the coherence oracle (enabled via
-    /// `diffcheck.enabled`) observes an invariant violation.
+    /// [`SimError::Cancelled`] when the token fires,
+    /// [`SimError::MachineCheck`] for an unrecoverable injected fault
+    /// under the halt policy, and [`SimError::Coherence`] when the
+    /// coherence oracle (enabled via `diffcheck.enabled`) observes an
+    /// invariant violation.
     ///
     /// # Panics
     ///
@@ -166,148 +153,14 @@ impl CmpSimulator {
         per_core: Vec<Vec<Box<dyn Trace>>>,
         warmup_instructions: u64,
     ) -> Result<CmpResult, SimError> {
-        assert_eq!(
-            per_core.len(),
-            self.cores.len(),
-            "one trace list per configured core"
-        );
-        let level = self.cfg.mp.level;
-        let slice = self.cfg.mp.time_slice_cycles;
-        self.scheds = per_core
-            .into_iter()
-            .map(|traces| Scheduler::new(traces, level, slice))
-            .collect();
-        let mut done = vec![false; self.cores.len()];
-
-        let mut total_instructions = 0u64;
-        let mut warm_snapshot: Option<Vec<Counters>> = None;
-        let mut next_warm = if warmup_instructions > 0 {
-            warmup_instructions
-        } else {
-            u64::MAX
-        };
-        let budget_limit = self.cfg.instruction_budget.unwrap_or(u64::MAX);
-        let mut next_cancel_check = if self.cancel.is_some() {
-            CANCEL_CHECK_INTERVAL
-        } else {
-            u64::MAX
-        };
-        let mut termination = Termination::Completed;
-        let mut next_poll = next_warm.min(budget_limit).min(next_cancel_check);
-        // The oracle must see every load hit, so it runs the memo-free
-        // (hooked) instantiation of the pipeline.
-        let hooked = self.protocol.oracle.is_some();
-        let oracle_on = self.cores.len() > 1 && hooked;
-
-        loop {
-            // Next core by functional-clock order, lowest id on ties
-            // (degenerates to strictly sequential execution at 1 core).
-            let mut active = usize::MAX;
-            let mut best = u64::MAX;
-            for (i, core) in self.cores.iter().enumerate() {
-                if !done[i] && core.fnow() < best {
-                    best = core.fnow();
-                    active = i;
-                }
-            }
-            if active == usize::MAX {
-                break;
-            }
-            let c = active;
-            let Some(instr) = self.scheds[c].next_instruction(best) else {
-                done[c] = true;
-                continue;
-            };
-            if hooked {
-                self.step::<true>(c, &instr);
-            } else {
-                self.step::<false>(c, &instr);
-            }
-            let fnow = self.cores[c].fnow();
-            self.scheds[c].post_instruction(fnow, instr.ifetch.syscall);
-            total_instructions += 1;
-
-            if oracle_on {
-                if let Some(err) = self.take_violation() {
-                    return Err(err);
-                }
-            }
-            if total_instructions >= next_poll {
-                if total_instructions >= next_cancel_check {
-                    next_cancel_check = total_instructions + CANCEL_CHECK_INTERVAL;
-                    if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                        return Err(SimError::Cancelled);
-                    }
-                }
-                if total_instructions >= next_warm {
-                    warm_snapshot = Some(self.cores.iter().map(|core| *core.counters()).collect());
-                    next_warm = u64::MAX;
-                }
-                if total_instructions >= budget_limit {
-                    termination = Termination::BudgetExhausted;
-                    break;
-                }
-                next_poll = next_warm.min(budget_limit).min(next_cancel_check);
-            }
-        }
-
-        for (core, sched) in self.cores.iter_mut().zip(&self.scheds) {
-            let counters = core.counters_mut();
-            counters.syscall_switches = sched.syscall_switches();
-            counters.slice_switches = sched.slice_switches();
-            debug_assert_eq!(
-                core.now(),
-                core.counters().total_cycles(),
-                "per-core cycle accounting must balance"
-            );
-        }
-        let per_core: Vec<Counters> = self
-            .cores
-            .iter()
-            .enumerate()
-            .map(|(i, core)| match &warm_snapshot {
-                Some(snaps) => core.counters().since(&snaps[i]),
-                None => *core.counters(),
-            })
-            .collect();
-        let merged = per_core.iter().fold(Counters::new(), |acc, c| acc.accum(c));
-
-        // Per-process stats merged by PID across cores (a benchmark runs
-        // on exactly one core, but the shared pseudo-process appears on
-        // all of them).
-        let mut merged_pp: Vec<ProcCounters> = Vec::new();
-        for core in &self.cores {
-            for (idx, p) in core.per_proc().iter().enumerate() {
-                if merged_pp.len() <= idx {
-                    merged_pp.resize(idx + 1, ProcCounters::default());
-                }
-                let m = &mut merged_pp[idx];
-                m.instructions += p.instructions;
-                m.cycles += p.cycles;
-                m.loads += p.loads;
-                m.stores += p.stores;
-                m.l1i_misses += p.l1i_misses;
-                m.l1d_misses += p.l1d_misses;
-                m.l2_misses += p.l2_misses;
-            }
-        }
-        let per_process = active_processes(&merged_pp);
-        let completed = self
-            .scheds
-            .iter()
-            .flat_map(|sched| sched.completed().iter().cloned())
-            .collect();
-
-        crate::record_run(&merged, &self.protocol.bus);
-        let result = SimResult {
-            config: self.cfg.clone(),
-            counters: merged,
-            completed,
-            per_process,
-            termination,
-            checkpoints: Vec::new(),
-        };
-        Ok(CmpResult { result, per_core })
+        let run = self
+            .m
+            .run(per_core, &mut self.protocol, warmup_instructions, 0)?;
+        crate::record_run(&run.result.counters, &self.protocol.bus);
+        Ok(CmpResult {
+            result: run.result,
+            per_core: run.per_core,
+        })
     }
 
     /// Accesses the coherence oracle has checked so far (`None` when the
@@ -315,36 +168,38 @@ impl CmpSimulator {
     pub fn oracle_checked(&self) -> Option<u64> {
         self.protocol.oracle.as_ref().map(CoherenceOracle::checked)
     }
+}
 
-    fn take_violation(&mut self) -> Option<SimError> {
-        let v = self.protocol.oracle.as_ref()?.violation()?.clone();
-        Some(SimError::Coherence {
-            core: v.core,
-            cycle: self.cores[v.core as usize].now(),
-            detail: v.detail,
-        })
+impl Coherence for Protocol {
+    type Hook<'a> = Snoop<'a>;
+
+    fn hook<'a>(
+        &'a mut self,
+        c: usize,
+        before: &'a mut [Core],
+        after: &'a mut [Core],
+    ) -> Snoop<'a> {
+        Snoop {
+            c,
+            before,
+            after,
+            p: self,
+        }
     }
 
-    /// Steps core `c` through one instruction of the shared pipeline,
-    /// with the coherence hook on its data access when other cores exist.
-    fn step<const HOOKS: bool>(&mut self, c: usize, instr: &Instruction) {
-        let (before, rest) = self.cores.split_at_mut(c);
-        let (core, after) = rest.split_first_mut().expect("active core exists");
-        core.step_ifetch::<HOOKS>(&mut self.back, &instr.ifetch);
-        let Some(data) = &instr.data else {
-            return;
-        };
-        if before.is_empty() && after.is_empty() {
-            core.step_data::<HOOKS, _>(&mut self.back, &mut NoCoherence, data);
-        } else {
-            let mut snoop = Snoop {
-                c,
-                before,
-                after,
-                p: &mut self.protocol,
-            };
-            core.step_data::<HOOKS, _>(&mut self.back, &mut snoop, data);
-        }
+    /// The oracle must see every load hit, so it runs the memo-free
+    /// (hooked) instantiation of the pipeline.
+    fn observes_every_access(&self) -> bool {
+        self.oracle.is_some()
+    }
+
+    fn check(&mut self, cores: &[Core]) -> Option<SimError> {
+        let v = self.oracle.as_ref()?.violation()?.clone();
+        Some(SimError::Coherence {
+            core: v.core,
+            cycle: cores[v.core as usize].now(),
+            detail: v.detail,
+        })
     }
 }
 

@@ -504,16 +504,9 @@ pub enum ConfigError {
     InvalidSharedFraction(f64),
     /// A positive shared fraction with an empty shared footprint.
     ZeroSharedFootprint,
-    /// The coherence engine and fault injection are mutually exclusive
-    /// (the MESI directory has no recovery model for corrupted lines).
-    CmpWithFaultInjection,
-    /// The coherence engine does not implement the telemetry hook sites;
-    /// CMP runs report through counters and CPI stacks instead.
+    /// Telemetry on the coherence engine: CMP has no report surface for it yet.
     CmpWithTelemetry,
-    /// The coherence engine does not support mid-run checkpointing.
-    CmpWithCheckpointing,
-    /// Seeded canary bugs target the single-CPU golden model, not the
-    /// coherence oracle.
+    /// A seeded canary bug on the coherence engine: the golden model is single-core.
     CmpWithSeededBug,
     /// A coherence-enabled configuration was handed to the single-CPU
     /// simulator; route it through `gaas-coherence` instead. (Never
@@ -585,14 +578,8 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroSharedFootprint => {
                 write!(f, "a positive shared fraction needs a nonzero shared footprint")
             }
-            ConfigError::CmpWithFaultInjection => {
-                write!(f, "the coherence engine cannot run with fault injection enabled")
-            }
             ConfigError::CmpWithTelemetry => {
-                write!(f, "the coherence engine does not implement telemetry hook sites")
-            }
-            ConfigError::CmpWithCheckpointing => {
-                write!(f, "the coherence engine does not support checkpointing")
+                write!(f, "the coherence engine has no telemetry report surface")
             }
             ConfigError::CmpWithSeededBug => {
                 write!(f, "seeded canary bugs target the single-CPU oracle, not the CMP path")
@@ -833,24 +820,18 @@ impl SimConfig {
         Ok(())
     }
 
-    /// Refuses the features the CMP engine does not implement: fault
-    /// injection, telemetry, checkpointing and seeded oracle bugs.
-    /// [`SimConfig::validate`] applies it to CMP-enabled configurations;
-    /// the CMP engine applies it to every configuration it is handed,
-    /// since a plain 1-core configuration could still carry them.
+    /// Refuses the features the CMP engine does not implement: telemetry
+    /// and seeded oracle bugs. [`SimConfig::validate`] applies it to
+    /// CMP-enabled configurations; the CMP engine applies it to every
+    /// configuration it is handed, since a plain 1-core configuration
+    /// could still carry them.
     ///
     /// # Errors
     ///
     /// Returns the matching `CmpWith*` [`ConfigError`].
     pub fn check_cmp_support(&self) -> Result<(), ConfigError> {
-        if self.fault.enabled() {
-            return Err(ConfigError::CmpWithFaultInjection);
-        }
         if self.telemetry.enabled {
             return Err(ConfigError::CmpWithTelemetry);
-        }
-        if self.checkpoint_interval != 0 {
-            return Err(ConfigError::CmpWithCheckpointing);
         }
         if self.diffcheck.seeded_bug.is_some() {
             return Err(ConfigError::CmpWithSeededBug);

@@ -371,6 +371,26 @@ pub fn active_processes(rows: &[ProcCounters]) -> Vec<(gaas_trace::Pid, ProcCoun
 }
 
 impl ProcCounters {
+    /// Field-wise sum `self + other`, mirroring [`Counters::accum`]: merges
+    /// one PID's rows from several cores.
+    #[must_use]
+    pub fn accum(&self, other: &ProcCounters) -> ProcCounters {
+        macro_rules! a {
+            ($($f:ident),* $(,)?) => {
+                ProcCounters { $($f: self.$f + other.$f),* }
+            };
+        }
+        a!(
+            instructions,
+            cycles,
+            loads,
+            stores,
+            l1i_misses,
+            l1d_misses,
+            l2_misses,
+        )
+    }
+
     /// Cycles per instruction for this process.
     pub fn cpi(&self) -> f64 {
         if self.instructions == 0 {

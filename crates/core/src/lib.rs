@@ -42,9 +42,11 @@
 //! * [`config`] — architecture description, builder, and the
 //!   [`config::SimConfig::baseline`] / [`config::SimConfig::optimized`]
 //!   presets;
-//! * [`sim`] — the engine and [`sim::SimResult`];
+//! * [`sim`] — the single-CPU engine and [`sim::SimResult`];
 //! * [`pipeline`] — the per-core L1 pipeline (one copy of the cycle
 //!   rules) that the single-CPU engine and the CMP engine both own;
+//! * [`driver`] — the one run loop: N cores over one back side, with the
+//!   run-level hooks (warm-up, windows, checkpoints, budget, cancel);
 //! * [`cpi`] — counters and the Fig. 4 CPI breakdown;
 //! * [`sched`] — the §3 multiprogramming scheduler;
 //! * [`workload`] — ready-made Table 1 workloads;
@@ -54,6 +56,7 @@
 
 pub mod config;
 pub mod cpi;
+pub mod driver;
 pub mod oracle;
 pub mod pipeline;
 pub mod profile;
@@ -68,6 +71,7 @@ pub use config::{
     SimConfigBuilder, TelemetryConfig, WbBypass, WriteBufferConfig, MAX_CORES,
 };
 pub use cpi::{Counters, CpiBreakdown, ProcCounters};
+pub use driver::{Coherence, Machine, Run};
 pub use oracle::{config_fingerprint, DivergenceKind, DivergenceReport};
 pub use pipeline::{Backside, CoherenceHook, Core, NoCoherence};
 pub use profile::{functional_fingerprint, price_profile, price_profiles, FunctionalProfile};

@@ -7,8 +7,9 @@
 //! the L2 arrays, main memory, the page mapper and the derived cycle
 //! costs. The rules for an ifetch, a load, a store and a write-buffer
 //! drain are methods of [`Core`] that take the back side as an argument,
-//! so both engines run the same code: [`Simulator`] owns one core, and
-//! the CMP engine in `gaas-coherence` owns N of them over one back side.
+//! so both engines run the same code: the run driver
+//! ([`crate::driver`]) steps one core for [`Simulator`] and N of them
+//! over one back side for the CMP engine in `gaas-coherence`.
 //!
 //! The cycle-cost rules — L2/memory miss service, the write-buffer waits
 //! of an I-miss and a D-miss, and the enqueue with its drain cost — are
@@ -273,11 +274,7 @@ impl Timing {
 impl Backside {
     /// Builds the shared back side for `cfg` (which the caller has
     /// validated).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when an L2 geometry is invalid.
-    pub fn new(cfg: &SimConfig) -> Result<Self, ConfigError> {
+    pub(crate) fn new(cfg: &SimConfig) -> Result<Self, ConfigError> {
         let l2 = match cfg.l2 {
             L2Config::Unified(s) => L2Arrays::Unified(CacheArray::new(s.geometry()?)),
             L2Config::Split { i, d } => L2Arrays::Split {
@@ -437,10 +434,17 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    pub(crate) fn new(cfg: &SimConfig) -> Result<Self, ConfigError> {
+    /// Core `core`'s fault state: its injector is seeded
+    /// `fault.seed + core`.
+    pub(crate) fn new(cfg: &SimConfig, core: u64) -> Result<Self, ConfigError> {
         let f = &cfg.fault;
         Ok(FaultState {
-            injector: FaultInjector::new(f.seed, f.rates, f.multi_bit_frac, f.targeted.clone()),
+            injector: FaultInjector::new(
+                f.seed.wrapping_add(core),
+                f.rates,
+                f.multi_bit_frac,
+                f.targeted.clone(),
+            ),
             protection: f.protection,
             ecc_penalty: f.ecc_correction_cycles as u64,
             halt: f.machine_check == MachineCheckPolicy::Halt,
@@ -515,11 +519,13 @@ impl TelemetryState {
     }
 }
 
-/// One CPU's front end (see the module docs). The instrumentation slots
-/// are filled only by the single-CPU [`Simulator`]; the CMP engine runs
-/// its cores with all of them empty.
+/// One CPU's front end (see the module docs). Its instrumentation slots
+/// (fault injection, the differential oracle, telemetry) are filled by
+/// [`Machine::new`], which builds the cores of both engines; the profile
+/// recorder is installed by
+/// [`Simulator::run_profiled`](crate::sim::Simulator::run_profiled).
 ///
-/// [`Simulator`]: crate::sim::Simulator
+/// [`Machine::new`]: crate::driver::Machine::new
 pub struct Core {
     pub(crate) now: u64,
     /// The *functional* clock driving scheduler time-slicing. It advances
@@ -596,11 +602,7 @@ pub struct Core {
 impl Core {
     /// Builds one core's front end for `cfg` (which the caller has
     /// validated), with every instrumentation slot empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when an L1 geometry is invalid.
-    pub fn new(cfg: &SimConfig) -> Result<Self, ConfigError> {
+    pub(crate) fn new(cfg: &SimConfig) -> Result<Self, ConfigError> {
         Ok(Core {
             now: 0,
             fnow: 0,

@@ -18,10 +18,10 @@
 //! The accounting invariant `total cycles = instructions + Σ stall
 //! components` holds exactly (checked with `debug_assert!` and tests).
 //!
-//! The per-access rules live in [`crate::pipeline`], which the CMP engine
-//! shares; this module owns the scheduler loop around one [`Core`] and
-//! the run-level instrumentation (windows, checkpoints, cancellation,
-//! the oracle's final sweep, telemetry reports, profile recording).
+//! The per-access rules live in [`crate::pipeline`] and the scheduler
+//! loop in [`crate::driver`], both shared with the CMP engine; this
+//! module is the single CPU's surface over a 1-core [`Machine`]: its
+//! error and result types, telemetry reports and profile recording.
 //!
 //! With soft-error injection enabled (see `FaultConfig`), faults are
 //! checked when an access *hits* the struck structure — the moment the
@@ -37,16 +37,17 @@ use std::sync::Arc;
 
 use gaas_cache::fault::FaultEvent;
 use gaas_cache::Tlb;
-use gaas_telemetry::{Component, Registry, Span};
+use gaas_telemetry::{Registry, Span};
 use gaas_trace::{AccessKind, Trace, TraceEvent};
 
 use crate::config::{ConfigError, SimConfig};
 pub use crate::config::{REF_L2_ACCESS, REF_MEM_CLEAN, REF_MEM_DIRTY};
-use crate::cpi::{active_processes, Counters, ProcCounters};
-use crate::oracle::{DiffState, DivergenceReport};
-use crate::pipeline::{Backside, Core, FaultState, NoCoherence, TelemetryState};
+use crate::cpi::{Counters, ProcCounters};
+use crate::driver::{Machine, Run};
+use crate::oracle::DivergenceReport;
+use crate::pipeline::{Core, NoCoherence};
 use crate::profile::{functional_fingerprint, FunctionalProfile, ProfileRecorder};
-use crate::sched::{SchedSnapshot, Scheduler};
+use crate::sched::SchedSnapshot;
 
 /// Error from building or running a simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,9 +61,9 @@ pub enum SimError {
         /// The unrecoverable fault.
         fault: FaultEvent,
         /// Simulated cycle at the halt (the boundary of the faulting
-        /// instruction).
+        /// instruction), on the faulting core's clock.
         cycle: u64,
-        /// Instructions retired before the halt.
+        /// Instructions retired before the halt, by every core.
         instructions: u64,
     },
     /// The lockstep golden-model oracle observed the fast simulator
@@ -171,11 +172,6 @@ impl CancelToken {
     }
 }
 
-/// Instructions between cooperative-cancellation polls: coarse enough to
-/// vanish in the hot loop, fine enough (≈ tens of microseconds) that a
-/// cancelled cell stops promptly.
-const CANCEL_CHECK_INTERVAL: u64 = 8192;
-
 /// Why a run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Termination {
@@ -191,11 +187,12 @@ pub enum Termination {
 /// machine-check policy) the rollback point for recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Checkpoint {
-    /// Simulated cycle at the checkpoint.
+    /// Simulated cycle at the checkpoint, on the clock of the core whose
+    /// instruction crossed it.
     pub cycle: u64,
-    /// Instructions retired at the checkpoint.
+    /// Instructions retired at the checkpoint, by every core.
     pub instructions: u64,
-    /// Scheduler progress at the checkpoint.
+    /// That core's scheduler progress at the checkpoint.
     pub sched: SchedSnapshot,
 }
 
@@ -253,9 +250,9 @@ pub struct TelemetryReport {
     pub spans_dropped: u64,
 }
 
-/// The trace-driven simulator for one architecture configuration: one
-/// [`Core`] of the shared per-core pipeline over its own [`Backside`],
-/// plus the scheduler loop and the instrumentation layers.
+/// The trace-driven simulator for one architecture configuration: a
+/// 1-core [`Machine`] (one [`Core`] of the shared per-core pipeline over
+/// its own back side), run by the shared driver.
 ///
 /// # Examples
 ///
@@ -271,11 +268,7 @@ pub struct TelemetryReport {
 /// # }
 /// ```
 pub struct Simulator {
-    cfg: SimConfig,
-    core: Core,
-    back: Backside,
-    /// Cooperative cancellation flag, polled between instruction batches.
-    cancel: Option<CancelToken>,
+    m: Machine,
 }
 
 impl Simulator {
@@ -285,65 +278,50 @@ impl Simulator {
     ///
     /// Returns [`ConfigError`] when the configuration is invalid.
     pub fn new(cfg: SimConfig) -> Result<Self, ConfigError> {
-        cfg.validate()?;
-        // CMP configurations need the coherence engine's per-core state;
-        // this single-CPU simulator would silently ignore the sharing
-        // knobs, so refuse them outright.
-        if cfg.cmp.enabled() {
+        let m = Machine::new(cfg)?;
+        // CMP configurations need the coherence engine's protocol; this
+        // single-CPU simulator would silently ignore the sharing knobs,
+        // so refuse them outright.
+        if m.cfg.cmp.enabled() {
             return Err(ConfigError::CmpRequiresCoherenceEngine);
         }
-        let mut core = Core::new(&cfg)?;
-        let back = Backside::new(&cfg)?;
-        if cfg.fault.enabled() {
-            core.fault = Some(FaultState::new(&cfg)?);
-            core.fault_on = true;
-        }
-        if cfg.diffcheck.enabled {
-            core.diff = Some(Box::new(DiffState::new(&cfg)?));
-            core.diff_on = true;
-        }
-        if cfg.telemetry.enabled {
-            core.telem = Some(Box::new(TelemetryState::new(cfg.telemetry.span_capacity)));
-            core.telem_on = true;
-        }
-        Ok(Simulator {
-            cfg,
-            core,
-            back,
-            cancel: None,
-        })
+        Ok(Simulator { m })
     }
 
     /// Installs a cooperative-cancellation token: once
     /// [`CancelToken::cancel`] is called on any clone, the run stops at
     /// the next batch boundary with [`SimError::Cancelled`].
     pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
+        self.m.set_cancel_token(token);
     }
 
     /// The configuration being simulated.
     pub fn config(&self) -> &SimConfig {
-        &self.cfg
+        &self.m.cfg
+    }
+
+    fn core(&self) -> &Core {
+        &self.m.cores[0]
     }
 
     /// Current simulated cycle.
     pub fn now(&self) -> u64 {
-        self.core.now
+        self.core().now
     }
 
     /// Counters accumulated so far.
     pub fn counters(&self) -> &Counters {
-        &self.core.counters
+        &self.core().counters
     }
 
     /// Instruction-TLB state (for reports).
     pub fn itlb(&self) -> &Tlb {
-        &self.core.itlb
+        &self.core().itlb
     }
 
     /// Data-TLB state (for reports).
     pub fn dtlb(&self) -> &Tlb {
-        &self.core.dtlb
+        &self.core().dtlb
     }
 
     /// Runs a multiprogramming workload to completion and returns the
@@ -385,14 +363,13 @@ impl Simulator {
     /// Returns [`SimError::MachineCheck`] when an injected fault is
     /// unrecoverable under the halt policy.
     pub fn run_sampled(
-        self,
+        mut self,
         traces: Vec<Box<dyn Trace>>,
         warmup_instructions: u64,
         window_instructions: u64,
     ) -> Result<(SimResult, Vec<Counters>), SimError> {
-        let (result, windows, _, _) =
-            self.run_sampled_rec(traces, warmup_instructions, window_instructions)?;
-        Ok((result, windows))
+        let run = self.drive(traces, warmup_instructions, window_instructions)?;
+        Ok((run.result, run.windows))
     }
 
     /// Runs a workload with telemetry recording, returning the result,
@@ -407,18 +384,20 @@ impl Simulator {
     ///
     /// Same failure modes as [`Simulator::run_warmed`].
     pub fn run_telemetry(
-        self,
+        mut self,
         traces: Vec<Box<dyn Trace>>,
         warmup_instructions: u64,
     ) -> Result<(SimResult, Vec<Counters>, TelemetryReport), SimError> {
-        let window = if self.cfg.telemetry.enabled {
-            self.cfg.telemetry.window_instructions
+        let telemetry = &self.m.cfg.telemetry;
+        let window = if telemetry.enabled {
+            telemetry.window_instructions
         } else {
             0
         };
-        let (result, windows, _, telem) =
-            self.run_sampled_rec(traces, warmup_instructions, window)?;
-        let report = telem
+        let run = self.drive(traces, warmup_instructions, window)?;
+        let report = self.m.cores[0]
+            .telem
+            .take()
             .map(|t| {
                 let mut registry = t.reg;
                 // Process-wide trace-arena health at the end of the run:
@@ -446,7 +425,7 @@ impl Simulator {
                 }
             })
             .unwrap_or_default();
-        Ok((result, windows, report))
+        Ok((run.result, run.windows, report))
     }
 
     /// Runs a workload with a [`ProfileRecorder`] attached, returning the
@@ -470,344 +449,59 @@ impl Simulator {
         traces: Vec<Box<dyn Trace>>,
         warmup_instructions: u64,
     ) -> Result<(SimResult, FunctionalProfile), SimError> {
-        let fkey = functional_fingerprint(&self.cfg)
+        let fkey = functional_fingerprint(&self.m.cfg)
             .expect("run_profiled requires a memoizable configuration");
-        self.core.rec = Some(Box::new(ProfileRecorder::new()));
-        let (result, _, rec, _) = self.run_sampled_rec(traces, warmup_instructions, 0)?;
-        let profile =
-            rec.expect("recorder installed above")
-                .finish(fkey, warmup_instructions, &result);
-        Ok((result, profile))
+        self.m.cores[0].rec = Some(Box::new(ProfileRecorder::new()));
+        let run = self.drive(traces, warmup_instructions, 0)?;
+        let profile = self.m.cores[0]
+            .rec
+            .take()
+            .expect("recorder installed above")
+            .finish(fkey, warmup_instructions, &run.result);
+        Ok((run.result, profile))
     }
 
-    #[allow(clippy::type_complexity)]
-    fn run_sampled_rec(
-        mut self,
+    /// Runs `traces` on the one core through the shared driver.
+    fn drive(
+        &mut self,
         traces: Vec<Box<dyn Trace>>,
         warmup_instructions: u64,
         window_instructions: u64,
-    ) -> Result<
-        (
-            SimResult,
-            Vec<Counters>,
-            Option<Box<ProfileRecorder>>,
-            Option<Box<TelemetryState>>,
-        ),
-        SimError,
-    > {
-        let mut sched = Scheduler::new(traces, self.cfg.mp.level, self.cfg.mp.time_slice_cycles);
-        let mut warm_snapshot: Option<Counters> = None;
-        let mut windows = Vec::new();
-        let mut window_start = Counters::new();
-        // Disabled features get `u64::MAX` thresholds: the per-instruction
-        // poll is then a never-taken compare instead of flag re-checks.
-        let mut next_window = if window_instructions > 0 {
-            window_instructions
-        } else {
-            u64::MAX
-        };
-        let mut next_warm = if warmup_instructions > 0 {
-            warmup_instructions
-        } else {
-            u64::MAX
-        };
-        let budget_limit = self.cfg.instruction_budget.unwrap_or(u64::MAX);
-        let mut checkpoints = Vec::new();
-        let checkpoint_interval = self.cfg.checkpoint_interval;
-        let mut next_checkpoint = if checkpoint_interval > 0 {
-            checkpoint_interval
-        } else {
-            u64::MAX
-        };
-        let mut termination = Termination::Completed;
-        let mut next_cancel_check = if self.cancel.is_some() {
-            CANCEL_CHECK_INTERVAL
-        } else {
-            u64::MAX
-        };
-        // The scheduler sees the *functional* clock, not the timing clock:
-        // time-slice context switches then land on identical instruction
-        // boundaries for every timing variant of one cache geometry.
-        //
-        // The loop is specialized on `hooks`: when every instrumentation
-        // layer (fault injection, differential oracle, telemetry,
-        // profile recorder) is off — the common case and the whole
-        // benchmark kernel — the `false` instantiations of the step
-        // functions compile the hook plumbing out entirely. The flags
-        // cannot turn on mid-run, so one check up front covers the run.
-        let hooks = self.core.hooks_active();
-        // All periodic thresholds collapse into one merged poll: each
-        // fires at an exact instruction count, so checking the minimum
-        // and re-deriving it after a hit preserves boundary semantics.
-        let mut next_poll = next_warm
-            .min(next_window)
-            .min(next_checkpoint)
-            .min(budget_limit)
-            .min(next_cancel_check);
-        while let Some(instr) = sched.next_instruction(self.core.fnow) {
-            if hooks {
-                self.step_ifetch::<true>(&instr.ifetch);
-                if let Some(data) = instr.data {
-                    self.step_data::<true>(&data);
-                }
-                sched.post_instruction(self.core.fnow, instr.ifetch.syscall);
-                if self.core.telem_on {
-                    let switches = sched.total_switches();
-                    self.telem_sched_tick(switches);
-                }
-                if self.core.pending_mc.is_some() {
-                    let fault = self.core.pending_mc.take().expect("just checked");
-                    return Err(SimError::MachineCheck {
-                        fault,
-                        cycle: self.core.now,
-                        instructions: self.core.counters.instructions,
-                    });
-                }
-                if self.core.diff_on {
-                    if let Some(err) = self.take_divergence() {
-                        return Err(err);
-                    }
-                }
-            } else {
-                self.step_ifetch::<false>(&instr.ifetch);
-                if let Some(data) = instr.data {
-                    self.step_data::<false>(&data);
-                }
-                sched.post_instruction(self.core.fnow, instr.ifetch.syscall);
-                // Span drain: step straight over the installed process's
-                // buffered events, checking the same per-instruction
-                // conditions (syscall, slice expiry, merged poll) inline.
-                // `post_instruction` on a non-rotating instruction is a
-                // no-op, so reporting only the rotating one is exact. The
-                // buffer's final event is left for `next_instruction`,
-                // which can peek across a batch refill for its data half.
-                let slice_end = sched.slice_end();
-                loop {
-                    if self.core.counters.instructions >= next_poll {
-                        break;
-                    }
-                    let (span, start) = sched.current_span();
-                    let end = span.len();
-                    if end - start < 2 {
-                        break;
-                    }
-                    let mut pos = start;
-                    let mut rotated = false;
-                    let mut rotate_syscall = false;
-                    while pos + 1 < end {
-                        let ifetch = span[pos];
-                        pos += 1;
-                        let d = span[pos];
-                        let data = if d.kind.is_data() {
-                            pos += 1;
-                            Some(d)
-                        } else {
-                            None
-                        };
-                        self.step_ifetch::<false>(&ifetch);
-                        if let Some(d) = data {
-                            self.step_data::<false>(&d);
-                        }
-                        if ifetch.syscall || self.core.fnow >= slice_end {
-                            rotated = true;
-                            rotate_syscall = ifetch.syscall;
-                            break;
-                        }
-                        if self.core.counters.instructions >= next_poll {
-                            break;
-                        }
-                    }
-                    sched.advance(pos - start);
-                    if rotated {
-                        sched.post_instruction(self.core.fnow, rotate_syscall);
-                        break;
-                    }
-                }
-            }
-            let instructions = self.core.counters.instructions;
-            if instructions >= next_poll {
-                if instructions >= next_cancel_check {
-                    next_cancel_check = instructions + CANCEL_CHECK_INTERVAL;
-                    if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                        return Err(SimError::Cancelled);
-                    }
-                }
-                if instructions >= next_warm {
-                    warm_snapshot = Some(self.core.counters);
-                    next_warm = u64::MAX;
-                }
-                if instructions >= next_window {
-                    windows.push(self.core.counters.since(&window_start));
-                    window_start = self.core.counters;
-                    next_window += window_instructions;
-                }
-                if instructions >= next_checkpoint {
-                    self.core.last_checkpoint_cycle = self.core.now;
-                    checkpoints.push(Checkpoint {
-                        cycle: self.core.now,
-                        instructions,
-                        sched: sched.snapshot(),
-                    });
-                    next_checkpoint += checkpoint_interval;
-                }
-                if instructions >= budget_limit {
-                    termination = Termination::BudgetExhausted;
-                    break;
-                }
-                next_poll = next_warm
-                    .min(next_window)
-                    .min(next_checkpoint)
-                    .min(budget_limit)
-                    .min(next_cancel_check);
-            }
-        }
-        // One last structural sweep so a divergence in the tail (after the
-        // final periodic check) still surfaces.
-        self.diff_final_check();
-        if let Some(err) = self.take_divergence() {
-            return Err(err);
-        }
-        self.core.counters.syscall_switches = sched.syscall_switches();
-        self.core.counters.slice_switches = sched.slice_switches();
-        debug_assert_eq!(
-            self.core.now,
-            self.core.counters.total_cycles(),
-            "cycle accounting must balance"
-        );
-        // The warm-up snapshot predates the end-of-run switch counts (they
-        // are zero mid-run), so the delta keeps the full-run switch totals.
-        let counters = match warm_snapshot {
-            Some(snap) => self.core.counters.since(&snap),
-            None => self.core.counters,
-        };
-        let per_process = active_processes(self.core.per_proc());
-        if self.core.telem_on {
-            self.telem_finalize();
-        }
-        let result = SimResult {
-            config: self.cfg.clone(),
-            counters,
-            completed: sched.completed().to_vec(),
-            per_process,
-            termination,
-            checkpoints,
-        };
-        Ok((
-            result,
-            windows,
-            self.core.rec.take(),
-            self.core.telem.take(),
-        ))
+    ) -> Result<Run, SimError> {
+        self.m.run(
+            vec![traces],
+            &mut NoCoherence,
+            warmup_instructions,
+            window_instructions,
+        )
     }
 
     /// Processes a single event outside a scheduled workload (single-process
     /// unit testing and calibration).
     pub fn step(&mut self, ev: &TraceEvent) {
-        match (self.core.hooks_active(), ev.kind) {
-            (true, AccessKind::IFetch) => self.step_ifetch::<true>(ev),
-            (true, _) => self.step_data::<true>(ev),
-            (false, AccessKind::IFetch) => self.step_ifetch::<false>(ev),
-            (false, _) => self.step_data::<false>(ev),
+        let Machine { cores, back, .. } = &mut self.m;
+        let core = &mut cores[0];
+        match (core.hooks_active(), ev.kind) {
+            (true, AccessKind::IFetch) => core.step_ifetch::<true>(back, ev),
+            (true, _) => core.step_data::<true, _>(back, &mut NoCoherence, ev),
+            (false, AccessKind::IFetch) => core.step_ifetch::<false>(back, ev),
+            (false, _) => core.step_data::<false, _>(back, &mut NoCoherence, ev),
         }
     }
 
-    #[inline]
-    fn step_ifetch<const HOOKS: bool>(&mut self, ev: &TraceEvent) {
-        self.core.step_ifetch::<HOOKS>(&mut self.back, ev);
-    }
-
-    #[inline]
-    fn step_data<const HOOKS: bool>(&mut self, ev: &TraceEvent) {
-        self.core
-            .step_data::<HOOKS, _>(&mut self.back, &mut NoCoherence, ev);
-    }
-
-    // ---- differential-oracle hooks ----
+    // ---- differential-oracle queries ----
 
     /// The pending divergence report, if the oracle tripped (for manual
     /// [`Simulator::step`] users; [`Simulator::run`] surfaces it as
     /// [`SimError::Divergence`]).
     pub fn divergence(&self) -> Option<&DivergenceReport> {
-        self.core.diff.as_ref().and_then(|d| d.report())
+        self.core().diff.as_ref().and_then(|d| d.report())
     }
 
     /// Accesses the oracle has cross-checked so far (`None` when the
     /// oracle is disabled).
     pub fn oracle_checked(&self) -> Option<u64> {
-        self.core.diff.as_ref().map(|d| d.accesses_checked())
-    }
-
-    /// Runs the oracle's full structural sweep once (end of run).
-    fn diff_final_check(&mut self) {
-        let Some(mut ds) = self.core.diff.take() else {
-            return;
-        };
-        ds.full_state_check(&self.core.structures(&self.back));
-        self.core.diff = Some(ds);
-    }
-
-    /// Takes a pending divergence as the run-terminating error.
-    fn take_divergence(&mut self) -> Option<SimError> {
-        let report = self.core.diff.as_mut()?.take_report()?;
-        if let Some(t) = self.core.telem.as_deref_mut() {
-            t.reg.inc(t.c_oracle_divergence);
-            t.spans
-                .instant("oracle.divergence", Component::Oracle, self.core.now);
-        }
-        Some(SimError::Divergence(Box::new(report)))
-    }
-
-    // ---- run-level telemetry (the per-access hooks live on `Core`) ----
-
-    /// Notes scheduler progress: compares the switch total against the
-    /// last observed one and emits an instant event per new switch.
-    #[cold]
-    #[inline(never)]
-    fn telem_sched_tick(&mut self, switches: u64) {
-        let now = self.core.now;
-        let t = self
-            .core
-            .telem
-            .as_deref_mut()
-            .expect("telem_on implies state");
-        if switches != t.last_switches {
-            t.reg.add(t.c_sched_switch, switches - t.last_switches);
-            t.spans.instant("sched.switch", Component::Sched, now);
-            t.last_switches = switches;
-        }
-    }
-
-    /// End-of-run snapshot of structure-level statistics into the
-    /// registry (final occupancies, TLB traffic, buffer high-water mark)
-    /// so the summary table reflects state the counters alone cannot.
-    #[cold]
-    #[inline(never)]
-    fn telem_finalize(&mut self) {
-        let (l2i, l2d) = self.back.l2_sides();
-        let core = &self.core;
-        let rows = [
-            ("l1i.occupancy", core.l1i.occupancy() as u64),
-            ("l1d.occupancy", core.l1d.array().occupancy() as u64),
-            ("l2i.occupancy", l2i.occupancy() as u64),
-            ("l2d.occupancy", l2d.occupancy() as u64),
-            ("itlb.accesses", core.itlb.accesses()),
-            ("dtlb.accesses", core.dtlb.accesses()),
-            ("wb.peak_depth", core.wb.peak_depth() as u64),
-            ("wb.total_enqueued", core.wb.total_enqueued()),
-            (
-                "mem.demand_misses",
-                self.back.timing.mem_d.total_misses() + self.back.timing.mem_i.total_misses(),
-            ),
-        ];
-        let t = self
-            .core
-            .telem
-            .as_deref_mut()
-            .expect("telem_on implies state");
-        for (name, v) in rows {
-            let id = t.reg.counter(name);
-            t.reg.add(id, v);
-        }
+        self.core().diff.as_ref().map(|d| d.accesses_checked())
     }
 }
 
@@ -848,7 +542,7 @@ mod tests {
         let mut sim = Simulator::new(SimConfig::baseline()).expect("valid");
         sim.set_cancel_token(token);
         // Enough instructions to cross the first cancellation poll.
-        let events = fetch_heavy(3 * super::CANCEL_CHECK_INTERVAL);
+        let events = fetch_heavy(3 * crate::driver::CANCEL_CHECK_INTERVAL);
         let err = sim
             .run(vec![Box::new(VecTrace::new("t", events))])
             .expect_err("cancelled run must not complete");
@@ -857,7 +551,7 @@ mod tests {
 
     #[test]
     fn untriggered_token_does_not_perturb_run() {
-        let events = fetch_heavy(3 * super::CANCEL_CHECK_INTERVAL);
+        let events = fetch_heavy(3 * crate::driver::CANCEL_CHECK_INTERVAL);
         let plain = run_events(SimConfig::baseline(), events.clone());
         let mut sim = Simulator::new(SimConfig::baseline()).expect("valid");
         sim.set_cancel_token(CancelToken::new());

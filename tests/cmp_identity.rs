@@ -1,12 +1,15 @@
 //! The CMP engine's correctness anchor: a 1-core CMP run is
 //! **byte-identical** to the validated single-CPU simulator.
 //!
-//! Four angles:
+//! Five angles:
 //!
 //! * **identity fuzz** — seeded random configurations (L2 organization,
-//!   write policy, drain timing, multiprogramming level all vary) run
-//!   through both engines; every counter, every per-process row and the
-//!   completion order must match exactly;
+//!   write policy, drain timing, multiprogramming level, instruction
+//!   budget, fault injection under both machine-check policies,
+//!   checkpoint interval and the differential oracle all vary) run
+//!   through both engines; every counter, every per-process row, the
+//!   completion order, the termination, the checkpoints and any error
+//!   must match exactly;
 //! * **directory filtering** — a 2-core run of *disjoint* processes
 //!   generates zero coherence traffic (no invalidations, no
 //!   cache-to-cache transfers, no coherence stall): the snoop filter
@@ -16,17 +19,23 @@
 //!   while actually exercising the protocol (invalidations observed);
 //! * **multi-core pins** — 2- and 4-core runs over seeded sharing
 //!   streams (one with the oracle on) and a hand-built
-//!   invalidate-then-reload case reproduce recorded counter digests.
+//!   invalidate-then-reload case reproduce recorded counter digests;
+//! * **multi-core run hooks** — cancellation, fault injection and
+//!   checkpoints on a 2-core run.
 
 use gaas_experiments::runner;
 use gaas_sim::config::SimConfig;
-use gaas_sim::{CmpConfig, DiffCheckConfig, L2Config, WritePolicy};
+use gaas_sim::{
+    CancelToken, CmpConfig, DiffCheckConfig, FaultConfig, FaultRates, L2Config, MachineCheckPolicy,
+    Protection, ProtectionMap, SimError, WritePolicy,
+};
 use gaas_trace::rng::SmallRng;
 
 const SCALE: f64 = 5e-5;
 
-/// Draws a random-but-valid configuration (same envelope as the
-/// differential-oracle fuzz, minus the oracle).
+/// Draws a random-but-valid configuration: the differential-oracle
+/// fuzz's envelope, plus the run-level knobs (budget, faults,
+/// checkpoints, the oracle itself).
 fn random_config(rng: &mut SmallRng) -> SimConfig {
     let policies = WritePolicy::all();
     let policy = policies[rng.gen_range(0..policies.len())];
@@ -40,22 +49,64 @@ fn random_config(rng: &mut SmallRng) -> SimConfig {
         }
         base
     };
+    let suite = runner::suite_instructions(SCALE);
     let mut b = SimConfig::builder();
     b.policy(policy)
         .l2(l2)
         .l2_drain_access(rng.gen_range(2..=10u32))
         .mp_level(*[1usize, 4, 8].get(rng.gen_range(0..3usize)).unwrap());
+    if rng.gen_bool(0.3) {
+        b.instruction_budget(rng.gen_range(suite / 4..suite));
+    }
+    if rng.gen_bool(0.5) {
+        b.checkpoint_interval(rng.gen_range(suite / 20..suite / 3));
+    }
+    // The oracle and fault injection are mutually exclusive.
+    if rng.gen_bool(0.25) {
+        b.diffcheck(DiffCheckConfig::on());
+    } else if rng.gen_bool(0.6) {
+        let protection = [Protection::None, Protection::Parity, Protection::Ecc];
+        b.fault(FaultConfig {
+            seed: rng.next_u64(),
+            rates: FaultRates::uniform([1e-4, 3e-4, 1e-3][rng.gen_range(0..3usize)]),
+            protection: ProtectionMap::uniform(protection[rng.gen_range(0..3usize)]),
+            multi_bit_frac: [0.0, 0.1, 0.3][rng.gen_range(0..3usize)],
+            machine_check: if rng.gen_bool(0.5) {
+                MachineCheckPolicy::Halt
+            } else {
+                MachineCheckPolicy::Restart
+            },
+            ..FaultConfig::default()
+        });
+    }
     b.build().expect("randomized configs stay valid")
 }
 
 #[test]
 fn one_core_cmp_is_byte_identical_to_the_single_cpu_simulator() {
     let mut rng = SmallRng::seed_from_u64(0xC0_1DE7);
-    for round in 0..8 {
+    // Which run-level paths the seeded envelope reached: a machine-check
+    // halt, the budget watchdog, a restart recovery, checkpoints, and
+    // the differential oracle.
+    let mut reached = [false; 5];
+    for round in 0..12 {
         let cfg = random_config(&mut rng);
         let summary = format!("round {round}: {cfg}");
-        let base = runner::run_standard_raw(cfg.clone(), SCALE).expect("base engine");
-        let cmp = runner::run_standard_cmp(cfg, SCALE, None).expect("cmp engine");
+        let base = runner::run_standard_raw(cfg.clone(), SCALE);
+        let cmp = runner::run_standard_cmp(cfg, SCALE, None);
+        let (base, cmp) = match (base, cmp) {
+            (Ok(base), Ok(cmp)) => (base, cmp),
+            (Err(base), Err(cmp)) => {
+                reached[0] |= matches!(base, SimError::MachineCheck { .. });
+                assert_eq!(cmp, base, "error drift in {summary}");
+                continue;
+            }
+            (base, cmp) => panic!(
+                "outcome drift in {summary}: single CPU {:?}, CMP {:?}",
+                base.map(|_| ()),
+                cmp.map(|_| ())
+            ),
+        };
         assert_eq!(
             cmp.result.counters, base.counters,
             "counter drift in {summary}"
@@ -68,9 +119,22 @@ fn one_core_cmp_is_byte_identical_to_the_single_cpu_simulator() {
             cmp.result.completed, base.completed,
             "completion-order drift in {summary}"
         );
+        assert_eq!(
+            cmp.result.termination, base.termination,
+            "termination drift in {summary}"
+        );
+        assert_eq!(
+            cmp.result.checkpoints, base.checkpoints,
+            "checkpoint drift in {summary}"
+        );
         assert_eq!(cmp.per_core.len(), 1, "{summary}");
         assert_eq!(cmp.per_core[0], base.counters, "{summary}");
+        reached[1] |= !base.is_complete();
+        reached[2] |= base.counters.machine_checks > 0;
+        reached[3] |= !base.checkpoints.is_empty();
+        reached[4] |= base.config.diffcheck.enabled;
     }
+    assert_eq!(reached, [true; 5], "the envelope must reach every path");
 }
 
 #[test]
@@ -172,6 +236,16 @@ fn cmp_digest(r: &gaas_coherence::CmpResult) -> u64 {
 /// the configured cores and decorated with shared-segment references
 /// drawn from `seed`.
 fn pinned_run(cfg: &SimConfig, seed: u64) -> gaas_coherence::CmpResult {
+    sharing_run(cfg, seed, None).expect("CMP run")
+}
+
+/// [`pinned_run`]'s workload under an optional cancellation token,
+/// returning the run's outcome.
+fn sharing_run(
+    cfg: &SimConfig,
+    seed: u64,
+    cancel: Option<CancelToken>,
+) -> Result<gaas_coherence::CmpResult, SimError> {
     use gaas_trace::{SharingSpec, SharingTrace, Trace};
     let n = cfg.cmp.cores as usize;
     let spec = SharingSpec {
@@ -186,10 +260,11 @@ fn pinned_run(cfg: &SimConfig, seed: u64) -> gaas_coherence::CmpResult {
         let core = i % n;
         per_core[core].push(Box::new(SharingTrace::new(trace, core as u32, &spec)));
     }
-    gaas_coherence::CmpSimulator::new(cfg.clone())
-        .expect("valid CMP config")
-        .run_warmed(per_core, 2_000)
-        .expect("CMP run")
+    let mut sim = gaas_coherence::CmpSimulator::new(cfg.clone()).expect("valid CMP config");
+    if let Some(token) = cancel {
+        sim.set_cancel_token(token);
+    }
+    sim.run_warmed(per_core, 2_000)
 }
 
 fn sharing_config(cores: u32) -> SimConfig {
@@ -284,4 +359,81 @@ fn a_load_after_a_remote_invalidation_misses() {
         0xd1ae_be8d_9053_09c1,
         "invalidate-then-load drifted"
     );
+}
+
+// ---- multi-core run hooks ----
+//
+// Campaign timeouts cancel CMP cells through the same token the single
+// CPU polls, and fault injection and checkpoints run on every core.
+
+#[test]
+fn a_fired_token_cancels_a_two_core_run() {
+    let token = CancelToken::new();
+    token.cancel();
+    let err = sharing_run(&sharing_config(2), 0x5EED_0002, Some(token))
+        .expect_err("cancelled run must not complete");
+    assert_eq!(err, SimError::Cancelled);
+}
+
+#[test]
+fn an_unfired_token_leaves_a_two_core_run_unchanged() {
+    let cfg = sharing_config(2);
+    let plain = pinned_run(&cfg, 0x5EED_0002);
+    let tokened = sharing_run(&cfg, 0x5EED_0002, Some(CancelToken::new())).expect("runs");
+    assert!(
+        plain.result.counters.instructions > 3 * 8192,
+        "the run crosses several cancellation polls"
+    );
+    assert_eq!(cmp_digest(&tokened), cmp_digest(&plain));
+}
+
+/// Two cores under parity-protected fault injection with periodic
+/// checkpoints.
+fn faulty_config(policy: MachineCheckPolicy) -> SimConfig {
+    let mut cfg = sharing_config(2);
+    cfg.checkpoint_interval = CHECKPOINT_EVERY;
+    cfg.fault = FaultConfig {
+        seed: 0xFA17,
+        rates: FaultRates::uniform(2e-4),
+        protection: ProtectionMap::uniform(Protection::Parity),
+        machine_check: policy,
+        ..FaultConfig::default()
+    };
+    cfg
+}
+
+const CHECKPOINT_EVERY: u64 = 5_000;
+
+#[test]
+fn a_two_core_run_with_faults_and_checkpoints_is_deterministic() {
+    let cfg = faulty_config(MachineCheckPolicy::Restart);
+    let a = pinned_run(&cfg, 0x5EED_0002);
+    let b = pinned_run(&cfg, 0x5EED_0002);
+    assert_eq!(cmp_digest(&a), cmp_digest(&b), "same seeds, same run");
+    assert_eq!(a.result.checkpoints, b.result.checkpoints);
+    assert!(
+        a.per_core.iter().all(|c| c.faults_injected > 0),
+        "every core injects: {:?}",
+        a.per_core
+    );
+    let c = a.result.counters;
+    assert!(c.machine_checks > 0 && c.recovery_cycles > 0, "{c:?}");
+    let checkpoints = &a.result.checkpoints;
+    assert!(checkpoints.len() > 2, "{checkpoints:?}");
+    for (i, cp) in checkpoints.iter().enumerate() {
+        assert_eq!(cp.instructions, (i as u64 + 1) * CHECKPOINT_EVERY);
+        assert!(cp.cycle > 0);
+    }
+    assert_eq!(
+        cmp_digest(&a),
+        0x9cd4_e640_de88_9380,
+        "faulted two-core run drifted"
+    );
+}
+
+#[test]
+fn an_unrecoverable_fault_halts_a_two_core_run() {
+    let cfg = faulty_config(MachineCheckPolicy::Halt);
+    let err = sharing_run(&cfg, 0x5EED_0002, None).expect_err("a dirty parity strike halts");
+    assert!(matches!(err, SimError::MachineCheck { .. }), "{err:?}");
 }
