@@ -22,6 +22,12 @@
 //!    its reason, so every later run — same process or a resumed one —
 //!    skips it instead of burning the retry budget again.
 //!
+//! Every cell runs through one executor, [`run_cells`]: journaled cells
+//! are reused, the rest are grouped by functional fingerprint (see
+//! below), and each group runs behind the one isolation harness. A
+//! single-cell figure is a one-element batch, so it gets the same
+//! interrupt/deadline checks and memo counters as a sweep.
+//!
 //! With a campaign [`activate`]d, every cell additionally journals its
 //! result, keyed by a fingerprint of the *full* configuration debug form
 //! plus the workload scale. Re-running after a crash with the journal
@@ -256,13 +262,11 @@ pub fn memo_stats() -> MemoStats {
     }
 }
 
-/// One group's resolution record in the memoization trace (see
-/// [`set_memo_trace`]). The trace answers "which cells were priced and
-/// which were simulated?" — the telemetry summary renders it.
+/// One group's resolution record in a batch's memoization trace (the
+/// executor returns one per group). The trace answers "which cells were
+/// priced and which were simulated?" — the telemetry summary renders it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoTraceEntry {
-    /// Batch sequence number (each [`run_cells`] call is one batch).
-    pub batch: u64,
     /// Functional fingerprint shared by the group's members, or `None`
     /// for an unmemoizable singleton (fault injection, diffcheck,
     /// checkpointing, telemetry — or memoization disabled).
@@ -274,33 +278,6 @@ pub struct MemoTraceEntry {
     /// profile; false when every member ran as a full simulation
     /// (singleton, memoization off, or group fallback).
     pub priced: bool,
-}
-
-/// Process-wide switch recording a [`MemoTraceEntry`] per group (off by
-/// default — the trace is only collected for telemetry runs).
-static MEMO_TRACE_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// The recorded trace, drained by [`take_memo_trace`].
-static MEMO_TRACE: Mutex<Vec<MemoTraceEntry>> = Mutex::new(Vec::new());
-
-/// Batch sequence numbers for trace entries.
-static BATCH_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Enables or disables memoization tracing process-wide. Enabling starts
-/// a fresh trace (any prior entries are discarded).
-pub fn set_memo_trace(on: bool) {
-    if on {
-        let mut t = MEMO_TRACE.lock().unwrap_or_else(|e| e.into_inner());
-        t.clear();
-        BATCH_COUNTER.store(0, Ordering::Relaxed);
-    }
-    MEMO_TRACE_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Takes (and clears) the memoization trace recorded since
-/// [`set_memo_trace`]`(true)`, in batch/group submission order.
-pub fn take_memo_trace() -> Vec<MemoTraceEntry> {
-    std::mem::take(&mut *MEMO_TRACE.lock().unwrap_or_else(|e| e.into_inner()))
 }
 
 /// Zeroes the memoization work counters (callers reset before a sweep
@@ -392,97 +369,95 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one cell isolated on its own thread with `catch_unwind`, a
-/// wall-clock timeout and bounded retry. Never panics, never blocks past
-/// `opts.timeout * opts.attempts`.
-pub fn run_isolated(cfg: &SimConfig, scale: f64, opts: &CellOptions) -> CellResult {
-    run_isolated_tagged(cfg, scale, opts).0
+/// How one isolated attempt ended (see [`isolate`]).
+enum Isolated<T> {
+    /// The worker returned a value.
+    Returned(T),
+    /// The worker panicked, timed out, or exited without reporting; the
+    /// text says which. A retry may succeed.
+    Lost(String),
+    /// No worker thread could be spawned.
+    Unspawned(String),
 }
 
-/// [`run_isolated`], additionally reporting whether a failure exhausted
-/// the *retryable* class (panic/timeout) — the campaign quarantines
-/// exactly those, since re-running them would burn the whole retry
-/// budget again; typed errors stay plain failures.
-fn run_isolated_tagged(cfg: &SimConfig, scale: f64, opts: &CellOptions) -> (CellResult, bool) {
+/// The isolation harness every cell and group runs behind: `work` runs on
+/// a fresh thread named `name` behind `catch_unwind`, and the caller waits
+/// up to `timeout` for its value. At the timeout the worker's
+/// [`CancelToken`] fires (the simulator stops at its next batch boundary)
+/// and the caller waits [`CANCEL_GRACE`] more; whatever the worker reports
+/// then, normally `SimError::Cancelled`, is dropped in favour of the
+/// timeout. The worker is joined once it has reported or exited; only one
+/// wedged so hard it never reaches a boundary is detached.
+fn isolate<T: Send + 'static>(
+    name: &str,
+    timeout: Duration,
+    work: impl FnOnce(CancelToken) -> T + Send + 'static,
+) -> Isolated<T> {
+    let (tx, rx) = mpsc::channel();
+    let cancel = CancelToken::new();
+    let worker_cancel = cancel.clone();
+    let spawned = thread::Builder::new().name(name.into()).spawn(move || {
+        let _ = tx.send(panic::catch_unwind(AssertUnwindSafe(|| {
+            work(worker_cancel)
+        })));
+    });
+    let handle = match spawned {
+        Ok(h) => h,
+        Err(e) => return Isolated::Unspawned(format!("could not spawn cell worker: {e}")),
+    };
+    // Wait `timeout`; on expiry, cancel and wait the grace period once.
+    let mut cancelled = false;
+    let reply = loop {
+        match rx.recv_timeout(if cancelled { CANCEL_GRACE } else { timeout }) {
+            Err(mpsc::RecvTimeoutError::Timeout) if !cancelled => {
+                cancel.cancel();
+                cancelled = true;
+            }
+            reply => break reply,
+        }
+    };
+    if !matches!(reply, Err(mpsc::RecvTimeoutError::Timeout)) {
+        let _ = handle.join();
+    }
+    match reply {
+        _ if cancelled => Isolated::Lost(
+            SimError::Timeout {
+                seconds: timeout.as_secs(),
+            }
+            .to_string(),
+        ),
+        Ok(Ok(value)) => Isolated::Returned(value),
+        Ok(Err(payload)) => {
+            Isolated::Lost(format!("panicked: {}", panic_message(payload.as_ref())))
+        }
+        Err(_) => Isolated::Lost("cell worker exited without reporting a result".into()),
+    }
+}
+
+/// Runs one cell as a full simulation behind [`isolate`], retrying panics
+/// and timeouts up to `opts.attempts` times; typed simulation errors are
+/// deterministic and fail on the first attempt. The flag reports whether
+/// a failure exhausted the *retryable* class (panic/timeout) — the
+/// campaign quarantines exactly those, since re-running them would burn
+/// the whole retry budget again.
+fn run_cell(cfg: &SimConfig, scale: f64, opts: &CellOptions) -> (CellResult, bool) {
+    let failed = |error, attempts| CellResult::Failed { error, attempts };
     let mut attempts = 0;
     loop {
         attempts += 1;
-        let (tx, rx) = mpsc::channel();
         let worker_cfg = cfg.clone();
-        let cancel = CancelToken::new();
-        let worker_cancel = cancel.clone();
-        let spawned = thread::Builder::new()
-            .name("campaign-cell".into())
-            .spawn(move || {
-                let out = panic::catch_unwind(AssertUnwindSafe(|| {
-                    chaos::poison_check(config_fingerprint(&worker_cfg));
-                    runner::run_standard_raw_cancellable(worker_cfg, scale, Some(worker_cancel))
-                }));
-                let _ = tx.send(out);
-            });
-        let handle = match spawned {
-            Ok(h) => h,
-            Err(e) => {
-                return (
-                    CellResult::Failed {
-                        error: format!("could not spawn cell worker: {e}"),
-                        attempts,
-                    },
-                    false,
-                )
+        let outcome = isolate("campaign-cell", opts.timeout, move |cancel| {
+            chaos::poison_check(config_fingerprint(&worker_cfg));
+            runner::run_standard_raw_cancellable(worker_cfg, scale, Some(cancel))
+        });
+        match outcome {
+            Isolated::Returned(Ok(result)) => return (CellResult::Done(Box::new(result)), false),
+            Isolated::Returned(Err(e)) => return (failed(e.to_string(), attempts), false),
+            Isolated::Unspawned(error) => return (failed(error, attempts), false),
+            Isolated::Lost(error) if attempts >= opts.attempts => {
+                return (failed(error, attempts), true)
             }
-        };
-        let retryable_error = match rx.recv_timeout(opts.timeout) {
-            Ok(Ok(Ok(result))) => {
-                let _ = handle.join();
-                return (CellResult::Done(Box::new(result)), false);
-            }
-            Ok(Ok(Err(sim_err))) => {
-                // Typed errors are deterministic: retrying reproduces them.
-                let _ = handle.join();
-                return (
-                    CellResult::Failed {
-                        error: sim_err.to_string(),
-                        attempts,
-                    },
-                    false,
-                );
-            }
-            Ok(Err(payload)) => {
-                let _ = handle.join();
-                format!("panicked: {}", panic_message(payload.as_ref()))
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Flag the worker to stop at its next batch boundary and
-                // give it a short grace period to acknowledge; whatever
-                // it reports (normally `SimError::Cancelled`) is dropped
-                // in favour of the timeout. Only a cell wedged so hard it
-                // never reaches a boundary is detached.
-                cancel.cancel();
-                match rx.recv_timeout(CANCEL_GRACE) {
-                    Ok(_) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        let _ = handle.join();
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                }
-                SimError::Timeout {
-                    seconds: opts.timeout.as_secs(),
-                }
-                .to_string()
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let _ = handle.join();
-                "cell worker exited without reporting a result".to_string()
-            }
-        };
-        if attempts >= opts.attempts {
-            return (
-                CellResult::Failed {
-                    error: retryable_error,
-                    attempts,
-                },
-                true,
-            );
+            Isolated::Lost(_) => {}
         }
     }
 }
@@ -869,19 +844,11 @@ impl Campaign {
         }
     }
 
-    /// Runs (or reloads) one cell.
-    pub fn cell(&mut self, cfg: &SimConfig, scale: f64) -> CellResult {
-        if let Some(res) = self.lookup(cfg, scale) {
-            return res;
-        }
-        let (res, retryable) = run_isolated_tagged(cfg, scale, &self.opts);
-        self.record(cfg, scale, &res, retryable);
-        res
-    }
-
-    /// Journal path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Runs (or reloads) a batch of cells through the executor, in
+    /// submission order: journaled cells are reused, every executed cell
+    /// is journaled as its group completes (see [`run_cells`]).
+    pub fn run_cells(&mut self, cfgs: &[SimConfig], scale: f64) -> Vec<CellResult> {
+        execute(cfgs, scale, Some(self)).0
     }
 
     /// Keys and journaled reasons of the quarantined cells, in key order.
@@ -943,12 +910,10 @@ fn record_line(key: &str, entry: &JournalEntry) -> String {
     frames::frame_line(&payload)
 }
 
-/// Decodes one journal record line, or `None` if any framing check
-/// fails: malformed prefix, length mismatch, CRC mismatch, or an
-/// undecodable payload. A torn or bit-flipped record always lands here —
-/// never in a silently wrong entry.
-fn parse_record_line(line: &str) -> Option<(String, JournalEntry)> {
-    let v = json::parse(frames::parse_line(line)?).ok()?;
+/// Decodes one record payload (already through the framing checks), or
+/// `None` when its JSON does not decode to a keyed entry.
+fn parse_record(payload: &str) -> Option<(String, JournalEntry)> {
+    let v = json::parse(payload).ok()?;
     let key = v.get("key")?.as_str()?.to_string();
     let entry = JournalEntry::from_json(v.get("entry")?)?;
     Some((key, entry))
@@ -987,14 +952,14 @@ fn parse_journal(text: &str) -> JournalLoad {
     }
 }
 
+/// Salvages a version-2 body through [`frames::salvage`]; a framed
+/// record whose JSON does not decode counts as dropped too.
 fn parse_journal_v2(body: &str) -> JournalLoad {
+    let salvage = frames::salvage(body);
     let mut cells = BTreeMap::new();
-    let mut dropped = 0u64;
-    for line in body.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        match parse_record_line(line) {
+    let mut dropped = salvage.dropped;
+    for payload in salvage.payloads {
+        match parse_record(payload) {
             // Later records override earlier ones (append-only updates).
             Some((key, entry)) => {
                 cells.insert(key, entry);
@@ -1080,16 +1045,15 @@ pub fn inspect_journal(path: impl AsRef<Path>) -> io::Result<JournalInspection> 
     })
 }
 
-/// The process-wide active campaign consulted by
-/// [`runner::run_standard_cell`](crate::runner::run_standard_cell).
+/// The process-wide active campaign that [`run_cells`] journals through.
 static ACTIVE: Mutex<Option<Campaign>> = Mutex::new(None);
 
 fn active() -> std::sync::MutexGuard<'static, Option<Campaign>> {
     ACTIVE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Activates a process-wide campaign: every subsequent standard-workload
-/// run journals to `path` (and, with `resume`, skips journaled cells).
+/// Activates a process-wide campaign: every subsequent [`run_cells`]
+/// batch journals to `path` (and, with `resume`, skips journaled cells).
 /// Replaces any previously active campaign.
 ///
 /// # Errors
@@ -1105,25 +1069,6 @@ pub fn activate(path: impl AsRef<Path>, resume: bool, opts: CellOptions) -> io::
 /// (or `None` when no campaign was active).
 pub fn deactivate() -> Option<CampaignStats> {
     active().take().map(|c| c.stats())
-}
-
-/// True when a process-wide campaign is active.
-pub fn is_active() -> bool {
-    active().is_some()
-}
-
-/// Routes one cell through the active campaign, or runs it isolated
-/// without journaling (single attempt, no effective timeout) when no
-/// campaign is active.
-pub fn dispatch(cfg: &SimConfig, scale: f64) -> CellResult {
-    let mut guard = active();
-    match guard.as_mut() {
-        Some(campaign) => campaign.cell(cfg, scale),
-        None => {
-            drop(guard);
-            run_isolated(cfg, scale, &CellOptions::unbounded())
-        }
-    }
 }
 
 /// Prices every config in `cfgs` from one [`FunctionalProfile`] — the
@@ -1183,7 +1128,7 @@ fn run_members_individually(
         .map(|&i| {
             FUNCTIONAL_RUNS.fetch_add(1, Ordering::Relaxed);
             pool::telemetry_count("campaign.functional_runs", 1);
-            run_isolated_tagged(&cfgs[i], scale, opts)
+            run_cell(&cfgs[i], scale, opts)
         })
         .collect()
 }
@@ -1191,15 +1136,13 @@ fn run_members_individually(
 /// Runs one geometry group: the functional pass (a full simulation
 /// recording a [`gaas_sim::FunctionalProfile`]) on the first member, then
 /// cheap token-replay pricing for every other member. The whole group
-/// runs isolated on one thread behind `catch_unwind` with the cell
-/// timeout, mirroring [`run_isolated`]; *any* failure — panic, timeout,
-/// or typed error anywhere in the group — falls back to running every
-/// member individually, so memoization can only change wall-clock, never
-/// results or failure granularity.
+/// runs behind [`isolate`] with the cell timeout; *any* failure — panic,
+/// timeout, or typed error anywhere in the group — falls back to running
+/// every member individually, so memoization can only change wall-clock,
+/// never results or failure granularity.
 /// Also reports whether the members were *priced* from a profile
 /// (`true` on the successful memoized path and on a cross-request
-/// profile-cache hit), so [`run_cells`] can record an accurate
-/// [`MemoTraceEntry`].
+/// profile-cache hit), for the group's [`MemoTraceEntry`].
 ///
 /// **Cross-request cache**: when the [`profile_cache`] is enabled and
 /// the group has a functional fingerprint, a cache hit prices *every*
@@ -1244,86 +1187,50 @@ fn run_group(
     if members.len() == 1 && !cache_on {
         return (run_members_individually(cfgs, members, scale, opts), false);
     }
-    let fallback = |cfgs, members, scale, opts| {
-        pool::telemetry_count("campaign.group_fallbacks", 1);
-        (run_members_individually(cfgs, members, scale, opts), false)
-    };
-    let (tx, rx) = mpsc::channel();
     let worker_cfgs: Vec<SimConfig> = members.iter().map(|&i| cfgs[i].clone()).collect();
-    let cancel = CancelToken::new();
-    let worker_cancel = cancel.clone();
-    let worker_cached = cached;
-    let worker_key = fingerprint;
-    let spawned = thread::Builder::new()
-        .name("campaign-group".into())
-        .spawn(move || {
-            let out = panic::catch_unwind(AssertUnwindSafe(|| {
-                // Poisoned members panic here; the fallback re-runs each
-                // member individually so quarantine lands on exactly the
-                // poisoned cell(s).
-                if let Some(profile) = &worker_cached {
-                    // Cross-request cache hit: co-price every member.
-                    let results = price_members(&worker_cfgs, profile.as_ref())?;
-                    return Ok::<(Vec<SimResult>, bool), SimError>((results, true));
-                }
-                chaos::poison_check(config_fingerprint(&worker_cfgs[0]));
-                let (lead, profile) = runner::run_standard_profiled_cancellable(
-                    worker_cfgs[0].clone(),
-                    scale,
-                    Some(worker_cancel),
-                )?;
-                let profile = Arc::new(profile);
-                if let Some(key) = worker_key {
-                    profile_cache::insert(key, scale, &profile);
-                }
-                let mut results = price_members(&worker_cfgs[1..], profile.as_ref())?;
-                results.insert(0, lead);
-                Ok((results, false))
-            }));
-            let _ = tx.send(out);
-        });
-    let handle = match spawned {
-        Ok(h) => h,
-        Err(_) => return fallback(cfgs, members, scale, opts),
+    let outcome = isolate("campaign-group", opts.timeout, move |cancel| {
+        // Poisoned members panic here; the fallback re-runs each member
+        // individually so quarantine lands on exactly the poisoned
+        // cell(s).
+        if let Some(profile) = &cached {
+            // Cross-request cache hit: co-price every member.
+            let results = price_members(&worker_cfgs, profile.as_ref())?;
+            return Ok::<(Vec<SimResult>, bool), SimError>((results, true));
+        }
+        chaos::poison_check(config_fingerprint(&worker_cfgs[0]));
+        let (lead, profile) =
+            runner::run_standard_profiled_cancellable(worker_cfgs[0].clone(), scale, Some(cancel))?;
+        let profile = Arc::new(profile);
+        if let Some(key) = fingerprint {
+            profile_cache::insert(key, scale, &profile);
+        }
+        let mut results = price_members(&worker_cfgs[1..], profile.as_ref())?;
+        results.insert(0, lead);
+        Ok((results, false))
+    });
+    let Isolated::Returned(Ok((results, from_cache))) = outcome else {
+        // A typed error, panic, timeout or spawn failure anywhere in the
+        // group: re-run each member individually so the failure lands on
+        // exactly the cell(s) that own it, with per-cell retry semantics.
+        pool::telemetry_count("campaign.group_fallbacks", 1);
+        return (run_members_individually(cfgs, members, scale, opts), false);
     };
-    match rx.recv_timeout(opts.timeout) {
-        Ok(Ok(Ok((results, from_cache)))) => {
-            let _ = handle.join();
-            if from_cache {
-                PRICED_CELLS.fetch_add(members.len() as u64, Ordering::Relaxed);
-                pool::telemetry_count("campaign.priced_cells", members.len() as u64);
-            } else {
-                FUNCTIONAL_RUNS.fetch_add(1, Ordering::Relaxed);
-                PRICED_CELLS.fetch_add(members.len() as u64 - 1, Ordering::Relaxed);
-                pool::telemetry_count("campaign.functional_runs", 1);
-                pool::telemetry_count("campaign.priced_cells", members.len() as u64 - 1);
-            }
-            (
-                results
-                    .into_iter()
-                    .map(|r| (CellResult::Done(Box::new(r)), false))
-                    .collect(),
-                from_cache || members.len() > 1,
-            )
-        }
-        Ok(Ok(Err(_))) | Ok(Err(_)) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-            // A typed error or panic anywhere in the group: re-run each
-            // member individually so the failure lands on exactly the
-            // cell(s) that own it, with per-cell retry semantics.
-            let _ = handle.join();
-            fallback(cfgs, members, scale, opts)
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            cancel.cancel();
-            match rx.recv_timeout(CANCEL_GRACE) {
-                Ok(_) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    let _ = handle.join();
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-            }
-            fallback(cfgs, members, scale, opts)
-        }
+    if from_cache {
+        PRICED_CELLS.fetch_add(members.len() as u64, Ordering::Relaxed);
+        pool::telemetry_count("campaign.priced_cells", members.len() as u64);
+    } else {
+        FUNCTIONAL_RUNS.fetch_add(1, Ordering::Relaxed);
+        PRICED_CELLS.fetch_add(members.len() as u64 - 1, Ordering::Relaxed);
+        pool::telemetry_count("campaign.functional_runs", 1);
+        pool::telemetry_count("campaign.priced_cells", members.len() as u64 - 1);
     }
+    (
+        results
+            .into_iter()
+            .map(|r| (CellResult::Done(Box::new(r)), false))
+            .collect(),
+        from_cache || members.len() > 1,
+    )
 }
 
 /// Groups `todo` cell indices by functional fingerprint in
@@ -1361,94 +1268,101 @@ pub fn group_preview(cfgs: &[SimConfig]) -> Vec<(Option<u64>, Vec<usize>)> {
     group_by_fingerprint(cfgs, &todo, memoize_enabled())
 }
 
-/// Runs a batch of cells over the process-wide worker pool
-/// ([`pool::jobs`], set by `repro --jobs`), returning results in
-/// submission order regardless of completion order — so tables built
-/// from the batch are byte-identical to a serial sweep.
+/// Runs a batch of cells, returning results in submission order: through
+/// the [`activate`]d campaign when one is set (journaled, resumable, with
+/// its [`CellOptions`]), otherwise unjournaled with
+/// [`CellOptions::unbounded`]. Every cell the crate runs, a single-cell
+/// figure included, comes through here.
+///
+/// Groups fan out over the process-wide worker pool ([`pool::jobs`], set
+/// by `repro --jobs`); results are slotted back by submission index, so
+/// tables built from the batch are byte-identical to a serial sweep.
 ///
 /// **Two-phase memoization**: cells whose configurations share a
 /// functional fingerprint ([`functional_fingerprint`] — same cache
 /// geometry, different timing knobs) are grouped; each group runs its
 /// functional pass once and prices the other members from the recorded
 /// profile. Unmemoizable cells (fault injection, diffcheck,
-/// checkpointing) and singleton geometries run as full simulations
-/// exactly as before. Groups are formed in first-occurrence order and
-/// fan out over the pool as units. Disable with [`set_memoize`]; the
-/// results are byte-identical either way (enforced by the determinism
-/// gate in `perf_baseline` and the memoized-sweep integration tests).
+/// checkpointing) and singleton geometries run as full simulations.
+/// Groups are formed in first-occurrence order and fan out over the pool
+/// as units. Disable with [`set_memoize`]; the results are byte-identical
+/// either way (enforced by the determinism gate in `perf_baseline` and
+/// the memoized-sweep integration tests).
 ///
-/// Journal semantics match per-cell [`dispatch`]: journaled cells are
-/// reused without running, executed cells journal atomically as each
-/// group completes (arrival order; the journal's `BTreeMap` keying makes
-/// the file bytes order-independent). The campaign lock is *not* held
-/// while cells run, only around the journal lookups/writes.
+/// Journaled cells are reused without running; executed cells journal
+/// durably as each group completes (arrival order; the journal's
+/// `BTreeMap` keying makes the file bytes order-independent). Interrupt
+/// and deadline skips are never journaled. The campaign lock is held for
+/// the whole batch; workers never take it.
 pub fn run_cells(cfgs: &[SimConfig], scale: f64) -> Vec<CellResult> {
+    run_cells_traced(cfgs, scale).0
+}
+
+/// [`run_cells`], also returning the batch's memoization trace: one
+/// [`MemoTraceEntry`] per group, in group order.
+pub(crate) fn run_cells_traced(
+    cfgs: &[SimConfig],
+    scale: f64,
+) -> (Vec<CellResult>, Vec<MemoTraceEntry>) {
+    execute(cfgs, scale, active().as_mut())
+}
+
+/// The cell executor behind [`run_cells`] and [`Campaign::run_cells`]:
+/// reuse from `campaign`, group the rest, run the groups over the pool,
+/// journal each executed cell to `campaign`.
+fn execute(
+    cfgs: &[SimConfig],
+    scale: f64,
+    mut campaign: Option<&mut Campaign>,
+) -> (Vec<CellResult>, Vec<MemoTraceEntry>) {
     let mut results: Vec<Option<CellResult>> = vec![None; cfgs.len()];
     let mut todo: Vec<usize> = Vec::new();
-    let opts = {
-        let mut guard = active();
-        match guard.as_mut() {
-            Some(campaign) => {
-                for (i, cfg) in cfgs.iter().enumerate() {
-                    match campaign.lookup(cfg, scale) {
-                        Some(res) => results[i] = Some(res),
-                        None => todo.push(i),
-                    }
-                }
-                campaign.opts
-            }
-            None => {
-                todo.extend(0..cfgs.len());
-                CellOptions::unbounded()
-            }
+    for (i, cfg) in cfgs.iter().enumerate() {
+        match campaign.as_mut().and_then(|c| c.lookup(cfg, scale)) {
+            Some(res) => results[i] = Some(res),
+            None => todo.push(i),
         }
-    };
-    // Group the remaining cells by functional fingerprint (first
-    // occurrence fixes each group's position, so the unit sequence is
-    // deterministic). Unmemoizable configs get singleton groups.
+    }
+    let opts = campaign
+        .as_ref()
+        .map_or_else(CellOptions::unbounded, |c| c.opts);
+    // First occurrence fixes each group's position, so the unit sequence
+    // is deterministic.
     let groups = group_by_fingerprint(cfgs, &todo, memoize_enabled());
     let executed = pool::run_ordered(
         pool::jobs(),
         groups.len(),
         |g| run_group(cfgs, &groups[g].1, groups[g].0, scale, &opts),
         |g, (group_results, _): &(Vec<(CellResult, bool)>, bool)| {
-            if let Some(campaign) = active().as_mut() {
-                for (&i, (res, retryable)) in groups[g].1.iter().zip(group_results) {
-                    // Interrupt/deadline skips are transient: journaling
-                    // them would make a resume reuse the skip as a
-                    // durable failure instead of re-running the cell.
-                    if is_transient_skip(res) {
-                        continue;
-                    }
+            let Some(campaign) = campaign.as_mut() else {
+                return;
+            };
+            for (&i, (res, retryable)) in groups[g].1.iter().zip(group_results) {
+                // Interrupt/deadline skips are transient: journaling them
+                // would make a resume reuse the skip as a durable failure
+                // instead of re-running the cell.
+                if !is_transient_skip(res) {
                     campaign.record(&cfgs[i], scale, res, *retryable);
                 }
             }
         },
     );
-    let trace_on = MEMO_TRACE_ENABLED.load(Ordering::Relaxed);
-    let batch = if trace_on {
-        BATCH_COUNTER.fetch_add(1, Ordering::Relaxed)
-    } else {
-        0
-    };
-    for (g, (group_results, priced)) in executed.into_iter().enumerate() {
-        if trace_on {
-            let mut t = MEMO_TRACE.lock().unwrap_or_else(|e| e.into_inner());
-            t.push(MemoTraceEntry {
-                batch,
-                fingerprint: groups[g].0,
-                members: groups[g].1.clone(),
-                priced,
-            });
-        }
-        for (&i, (res, _)) in groups[g].1.iter().zip(group_results) {
+    let mut trace = Vec::with_capacity(groups.len());
+    for ((fingerprint, members), (group_results, priced)) in groups.into_iter().zip(executed) {
+        for (&i, (res, _)) in members.iter().zip(group_results) {
             results[i] = Some(res);
         }
+        trace.push(MemoTraceEntry {
+            fingerprint,
+            members,
+            priced,
+        });
     }
-    results
+    let results = results
         .into_iter()
         .map(|r| r.expect("every cell resolved"))
-        .collect()
+        .collect();
+    (results, trace)
 }
 
 #[cfg(test)]
@@ -1523,7 +1437,7 @@ mod tests {
         b.diffcheck(gaas_sim::DiffCheckConfig::on());
         let mut cfg = b.build().expect("valid");
         cfg.fault.rates = gaas_sim::FaultRates::uniform(1e-3);
-        let res = run_isolated(
+        let (res, retryable) = run_cell(
             &cfg,
             1e-4,
             &CellOptions {
@@ -1531,6 +1445,7 @@ mod tests {
                 attempts: 3,
             },
         );
+        assert!(!retryable, "typed errors are never quarantined");
         match res {
             CellResult::Failed { error, attempts } => {
                 assert_eq!(attempts, 1, "typed errors must not retry");
@@ -1549,7 +1464,9 @@ mod tests {
         let line = record_line("cafe-0123", &entry);
         assert!(line.ends_with('\n'), "record lines are newline-terminated");
         assert_eq!(line.matches('\n').count(), 1, "payload stays one line");
-        let (key, back) = parse_record_line(line.trim_end()).expect("decodes");
+        let (key, back) = frames::parse_line(line.trim_end())
+            .and_then(parse_record)
+            .expect("decodes");
         assert_eq!(key, "cafe-0123");
         match back {
             JournalEntry::Failed { error, attempts } => {
@@ -1685,21 +1602,33 @@ mod tests {
         let fresh = runner::run_standard_raw(cfg.clone(), 5e-5).expect("runs");
 
         let mut c1 = Campaign::open(&journal, true, CellOptions::default()).expect("open");
-        let first = c1.cell(&cfg, 5e-5).ok().expect("done");
+        let first = c1
+            .run_cells(std::slice::from_ref(&cfg), 5e-5)
+            .remove(0)
+            .ok()
+            .expect("done");
         assert_eq!(c1.stats().executed, 1);
         assert_eq!(first.counters, fresh.counters, "isolated run is faithful");
         drop(c1);
 
         // A second campaign (a fresh process, in spirit) reloads the cell.
         let mut c2 = Campaign::open(&journal, true, CellOptions::default()).expect("open");
-        let second = c2.cell(&cfg, 5e-5).ok().expect("done");
+        let second = c2
+            .run_cells(std::slice::from_ref(&cfg), 5e-5)
+            .remove(0)
+            .ok()
+            .expect("done");
         assert_eq!(c2.stats().executed, 0);
         assert_eq!(c2.stats().reused, 1);
         assert_eq!(second.counters, fresh.counters, "journal round-trip exact");
 
         // Without resume, the journal is ignored and the cell re-runs.
         let mut c3 = Campaign::open(&journal, false, CellOptions::default()).expect("open");
-        let third = c3.cell(&cfg, 5e-5).ok().expect("done");
+        let third = c3
+            .run_cells(std::slice::from_ref(&cfg), 5e-5)
+            .remove(0)
+            .ok()
+            .expect("done");
         assert_eq!(c3.stats().executed, 1);
         assert_eq!(third.counters, fresh.counters);
 

@@ -9,8 +9,7 @@
 
 use gaas_sim::config::SimConfig;
 
-use crate::campaign::CellResult;
-use crate::runner::run_standard_cells;
+use crate::campaign::{run_cells, CellResult};
 use crate::tablefmt::{f3, f4, Table};
 
 /// Multiprogramming levels swept.
@@ -43,7 +42,7 @@ pub fn run(scale: f64) -> Vec<Row> {
             b.build().expect("valid")
         })
         .collect();
-    run_standard_cells(&cfgs, scale)
+    run_cells(&cfgs, scale)
         .into_iter()
         .zip(LEVELS)
         .filter_map(|(res, level)| match res {

@@ -13,7 +13,7 @@
 use gaas_cache::WritePolicy;
 use gaas_sim::config::SimConfig;
 
-use crate::runner::run_standard_cells;
+use crate::campaign::run_cells;
 use crate::tablefmt::{f3_opt, f4, Table};
 
 /// Effective drain access times swept (cycles).
@@ -57,7 +57,7 @@ pub fn cell_configs() -> (Vec<(WritePolicy, u32)>, Vec<SimConfig>) {
 pub fn run(scale: f64) -> Vec<Row> {
     let (points, cfgs) = cell_configs();
     let mut rows = Vec::new();
-    for (res, (policy, access)) in run_standard_cells(&cfgs, scale).into_iter().zip(points) {
+    for (res, (policy, access)) in run_cells(&cfgs, scale).into_iter().zip(points) {
         match res {
             crate::campaign::CellResult::Done(r) => {
                 let bd = r.breakdown();

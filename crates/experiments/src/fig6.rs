@@ -11,8 +11,7 @@
 
 use gaas_sim::config::{L2Config, L2Side, SimConfig};
 
-use crate::campaign::CellResult;
-use crate::runner::run_standard_cells;
+use crate::campaign::{run_cells, CellResult};
 use crate::tablefmt::{f3, f4, Table, GAP};
 
 /// Total L2 sizes swept (words).
@@ -95,7 +94,7 @@ pub fn run(scale: f64) -> Vec<Row> {
         }
     }
     let mut rows = Vec::new();
-    for (res, (size, org)) in run_standard_cells(&cfgs, scale).into_iter().zip(points) {
+    for (res, (size, org)) in run_cells(&cfgs, scale).into_iter().zip(points) {
         match res {
             CellResult::Done(r) => rows.push(Row {
                 size_words: size,

@@ -25,9 +25,8 @@
 use gaas_sim::config::SimConfig;
 use gaas_sim::CmpConfig;
 
-use crate::campaign::{cross_core_counts, CellResult};
+use crate::campaign::{cross_core_counts, run_cells, CellResult};
 use crate::fig6::Org;
-use crate::runner::run_standard_cells;
 use crate::tablefmt::{f3, Table, GAP};
 
 /// Core counts swept (1 = the paper's machine, the anchor column).
@@ -81,7 +80,7 @@ pub fn run(scale: f64) -> Vec<Row> {
     }
     let cfgs = cross_core_counts(&bases, &CORES, &sharing());
     let mut rows = Vec::new();
-    for (res, (org, cores)) in run_standard_cells(&cfgs, scale).into_iter().zip(points) {
+    for (res, (org, cores)) in run_cells(&cfgs, scale).into_iter().zip(points) {
         match res {
             CellResult::Done(r) => {
                 let instr = r.counters.instructions.max(1) as f64;

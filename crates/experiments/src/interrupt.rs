@@ -57,18 +57,3 @@ pub fn trigger() {
 pub fn reset() {
     INTERRUPTED.store(false, Ordering::SeqCst);
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trigger_and_reset_round_trip() {
-        reset();
-        assert!(!interrupted());
-        trigger();
-        assert!(interrupted());
-        reset();
-        assert!(!interrupted());
-    }
-}

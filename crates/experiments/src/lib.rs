@@ -65,12 +65,9 @@ pub mod verify;
 pub mod warmup;
 
 pub use campaign::{
-    group_preview, inspect_journal, memo_stats, memoize_enabled, reset_memo_stats, set_memo_trace,
-    set_memoize, take_memo_trace, CampaignStats, CellOptions, CellResult, JournalInspection,
-    MemoStats, MemoTraceEntry, RecordStatus,
+    group_preview, inspect_journal, memo_stats, memoize_enabled, reset_memo_stats, set_memoize,
+    CampaignStats, CellOptions, CellResult, JournalInspection, MemoStats, MemoTraceEntry,
+    RecordStatus,
 };
-pub use runner::{
-    run_standard, run_standard_cell, run_standard_cells, run_standard_many, run_standard_raw,
-    DEFAULT_SCALE,
-};
+pub use runner::{run_standard, run_standard_many, run_standard_raw, DEFAULT_SCALE};
 pub use tablefmt::Table;

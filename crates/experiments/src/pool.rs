@@ -102,7 +102,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// path a panicking task poisons nothing (queue and channel shrug it
 /// off) but its slot would be unfilled, so this panics with a diagnostic
 /// instead of returning a hole. Cell runners are expected to be
-/// panic-free (`campaign::run_isolated` catches unwinds internally).
+/// panic-free (the campaign's isolation harness catches unwinds).
 pub fn run_ordered<T, F, G>(jobs: usize, n: usize, task: F, mut on_done: G) -> Vec<T>
 where
     T: Send,

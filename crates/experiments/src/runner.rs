@@ -1,15 +1,15 @@
-//! Shared experiment plumbing: scaled workloads, warm-up, cell dispatch.
+//! Shared experiment plumbing: scaled workloads, warm-up, and the two
+//! ways to run a standard-workload cell:
 //!
-//! Three entry points, by robustness level:
-//!
-//! * [`run_standard_raw`] — the bare simulation with typed errors; used
-//!   by the isolation layer and by tests that want exact control;
-//! * [`run_standard_cell`] — one *campaign cell*: isolated behind
-//!   `catch_unwind` + timeout, journaled when a
-//!   [`campaign`](crate::campaign) is active; failures degrade to
-//!   [`CellResult::Failed`] so a sweep renders gaps instead of dying;
-//! * [`run_standard`] — the historical panicking convenience wrapper
-//!   (now routed through the cell layer).
+//! * [`run_standard_raw`] — the bare simulation with typed errors; the
+//!   campaign's isolation harness runs it, and tests use it for exact
+//!   control;
+//! * [`campaign::run_cells`] — the cell executor every figure goes
+//!   through: isolated behind `catch_unwind` + timeout, memoized, and
+//!   journaled when a [`campaign`] is active; failures degrade to
+//!   [`CellResult::Failed`] so a sweep renders gaps instead of dying.
+//!   [`run_standard_many`] and [`run_standard`] are its panicking
+//!   conveniences for a batch and for one cell.
 
 use gaas_coherence::{CmpResult, CmpSimulator};
 use gaas_sim::config::SimConfig;
@@ -152,30 +152,17 @@ pub fn run_standard_profiled_cancellable(
     sim.run_profiled(workload::standard(scale), warmup)
 }
 
-/// Runs one campaign cell: through the active
-/// [`campaign`](crate::campaign) when one is activated (journaled,
-/// resumable), otherwise isolated on a worker thread with `catch_unwind`.
-pub fn run_standard_cell(cfg: &SimConfig, scale: f64) -> CellResult {
-    campaign::dispatch(cfg, scale)
-}
-
-/// Runs a whole batch of campaign cells, fanning out over the
-/// process-wide worker pool (`repro --jobs N`; serial by default) while
-/// returning results in submission order — the parallel sweep engine's
-/// front door. Journal reuse, isolation and journaling semantics are
-/// identical to calling [`run_standard_cell`] per config.
-pub fn run_standard_cells(cfgs: &[SimConfig], scale: f64) -> Vec<CellResult> {
-    campaign::run_cells(cfgs, scale)
-}
-
-/// Batch form of [`run_standard`]: runs every config (in parallel when
+/// Runs every config through [`campaign::run_cells`] (in parallel when
 /// `--jobs` is set) and unwraps the results in submission order.
 ///
 /// # Panics
 ///
-/// Panics if any cell fails, like [`run_standard`].
+/// Panics if any cell fails (invalid configuration, machine check,
+/// divergence, a panic inside the simulator, or a skip after an
+/// interrupt). Sweeps that should degrade gracefully call
+/// [`campaign::run_cells`] and render failed cells as gaps.
 pub fn run_standard_many(cfgs: &[SimConfig], scale: f64) -> Vec<SimResult> {
-    run_standard_cells(cfgs, scale)
+    campaign::run_cells(cfgs, scale)
         .into_iter()
         .map(|res| match res {
             CellResult::Done(r) => *r,
@@ -187,20 +174,15 @@ pub fn run_standard_many(cfgs: &[SimConfig], scale: f64) -> Vec<SimResult> {
 }
 
 /// Runs `cfg` over the standard ten-benchmark workload at `scale`,
-/// discarding warm-up.
+/// discarding warm-up: a one-cell [`run_standard_many`].
 ///
 /// # Panics
 ///
-/// Panics if the cell fails (invalid configuration, machine check,
-/// divergence, or a panic inside the simulator). Sweeps that should
-/// degrade gracefully use [`run_standard_cell`] instead.
+/// As [`run_standard_many`].
 pub fn run_standard(cfg: SimConfig, scale: f64) -> SimResult {
-    match run_standard_cell(&cfg, scale) {
-        CellResult::Done(r) => *r,
-        CellResult::Failed { error, attempts } => {
-            panic!("experiment cell failed after {attempts} attempt(s): {error}")
-        }
-    }
+    run_standard_many(std::slice::from_ref(&cfg), scale)
+        .pop()
+        .expect("one cell in, one result out")
 }
 
 /// Runs `cfg` with the lockstep golden-model oracle enabled (every other

@@ -175,10 +175,7 @@ fn render_memo_trace(trace: &[MemoTraceEntry]) -> String {
         } else {
             "all simulated (fallback)"
         };
-        out.push_str(&format!(
-            "  batch {} group {fp} cells {:?}: {mode}\n",
-            e.batch, e.members
-        ));
+        out.push_str(&format!("  group {fp} cells {:?}: {mode}\n", e.members));
     }
     out
 }
@@ -194,20 +191,17 @@ fn render_memo_trace(trace: &[MemoTraceEntry]) -> String {
 pub fn run(scale: f64, dir: &Path) -> Result<TelemetryRun, TelemetryError> {
     fs::create_dir_all(dir)?;
 
-    // Phase 1 — a small Fig. 7 mini-grid through the campaign layer with
-    // memo tracing on, so the summary can show exactly which cells were
-    // priced from a memoized profile and which were simulated.
+    // Phase 1 — a small Fig. 7 mini-grid through the campaign layer; its
+    // memoization trace shows exactly which cells were priced from a
+    // memoized profile and which were simulated.
     let t0 = std::time::Instant::now();
-    campaign::set_memo_trace(true);
     let mut grid = Vec::new();
     for &size in &GRID_SIZES {
         for &access in &GRID_TIMES {
             grid.push(fig78::cell_config(Side::Instruction, size, access));
         }
     }
-    campaign::run_cells(&grid, scale);
-    let memo_trace = campaign::take_memo_trace();
-    campaign::set_memo_trace(false);
+    let (_, memo_trace) = campaign::run_cells_traced(&grid, scale);
     eprintln!(
         "[telemetry: mini-grid ({} cells) in {:.1}s]",
         grid.len(),
@@ -322,8 +316,26 @@ mod tests {
         for f in &run.files {
             assert!(f.exists(), "{} missing", f.display());
         }
+        // The 2 sizes x 3 access times grid forms one fingerprinted group
+        // per size, simulated once and priced for the other access times.
         let summary = fs::read_to_string(dir.join("summary.txt")).unwrap();
-        assert!(summary.contains("memoization trace"));
+        let (_, trace) = summary
+            .split_once("memoization trace (priced vs simulated)\n")
+            .expect("summary ends with the memoization trace");
+        let groups: Vec<&str> = trace.lines().collect();
+        assert_eq!(groups.len(), 2, "{trace}");
+        for (line, cells) in groups.iter().zip(["[0, 1, 2]", "[3, 4, 5]"]) {
+            let fp = line
+                .strip_prefix("  group ")
+                .and_then(|rest| {
+                    rest.strip_suffix(&format!(" cells {cells}: lead simulated, rest priced"))
+                })
+                .unwrap_or_else(|| panic!("unexpected trace line: {line}"));
+            assert!(
+                u64::from_str_radix(fp, 16).is_ok(),
+                "no fingerprint: {line}"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

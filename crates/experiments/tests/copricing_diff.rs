@@ -15,7 +15,6 @@ use std::sync::Mutex;
 
 use gaas_cache::MainMemory;
 use gaas_experiments::campaign::{self, CellResult};
-use gaas_experiments::runner;
 use gaas_sim::config::{L2Config, SimConfig};
 use gaas_sim::{
     functional_fingerprint, price_profiles, workload, ConcurrencyConfig, FaultRates, SimResult,
@@ -201,10 +200,10 @@ fn copricer_fallback_keeps_sweep_identical() {
     );
 
     campaign::set_memoize(false);
-    let full = runner::run_standard_cells(&cfgs, SCALE);
+    let full = campaign::run_cells(&cfgs, SCALE);
     campaign::set_memoize(true);
     campaign::reset_memo_stats();
-    let memo = runner::run_standard_cells(&cfgs, SCALE);
+    let memo = campaign::run_cells(&cfgs, SCALE);
 
     assert_eq!(full.len(), memo.len());
     for (k, (a, b)) in full.iter().zip(&memo).enumerate() {
@@ -264,7 +263,7 @@ fn copricing_stats_count_groups_and_saved_passes() {
 
     campaign::set_memoize(true);
     campaign::reset_memo_stats();
-    let results = runner::run_standard_cells(&cfgs, SCALE);
+    let results = campaign::run_cells(&cfgs, SCALE);
     assert!(results.iter().all(|r| matches!(r, CellResult::Done(_))));
 
     let stats = campaign::memo_stats();
@@ -286,7 +285,7 @@ fn unmemoizable_cells_never_coprice() {
 
     campaign::set_memoize(true);
     campaign::reset_memo_stats();
-    let results = runner::run_standard_cells(&cfgs, SCALE);
+    let results = campaign::run_cells(&cfgs, SCALE);
     assert!(results.iter().all(|r| matches!(r, CellResult::Done(_))));
 
     let stats = campaign::memo_stats();

@@ -1,4 +1,4 @@
-//! Memoized-sweep identity: `run_standard_cells` with two-phase
+//! Memoized-sweep identity: `campaign::run_cells` with two-phase
 //! memoization enabled must return results byte-identical to full
 //! per-cell simulation, for the sweeps that actually exploit grouping
 //! (Fig. 7/8 speed–size grids, a Fig. 5 drain-override column) and for
@@ -12,7 +12,7 @@
 use std::sync::Mutex;
 
 use gaas_experiments::campaign::{self, CellResult};
-use gaas_experiments::{pool, runner};
+use gaas_experiments::pool;
 use gaas_sim::config::{L2Config, L2Side, SimConfig};
 use gaas_sim::{functional_fingerprint, DiffCheckConfig, FaultRates, WritePolicy};
 
@@ -59,10 +59,10 @@ fn assert_identical(label: &str, full: &[CellResult], memo: &[CellResult]) {
 
 fn run_both_ways(label: &str, cfgs: &[SimConfig]) -> (Vec<CellResult>, Vec<CellResult>) {
     campaign::set_memoize(false);
-    let full = runner::run_standard_cells(cfgs, SCALE);
+    let full = campaign::run_cells(cfgs, SCALE);
     campaign::set_memoize(true);
     campaign::reset_memo_stats();
-    let memo = runner::run_standard_cells(cfgs, SCALE);
+    let memo = campaign::run_cells(cfgs, SCALE);
     assert_identical(label, &full, &memo);
     (full, memo)
 }
@@ -136,7 +136,7 @@ fn fig5_drain_column_prices_identically_and_survives_parallelism() {
     assert_eq!(stats.priced_cells, 4);
 
     pool::set_jobs(2);
-    let parallel = runner::run_standard_cells(&cfgs, SCALE);
+    let parallel = campaign::run_cells(&cfgs, SCALE);
     pool::set_jobs(1);
     assert_identical("fig5-jobs2", &full, &parallel);
 }

@@ -7,7 +7,7 @@
 //! on-disk state a real `kill -9` leaves behind, because the journal is
 //! written atomically after every cell.
 
-use gaas_experiments::campaign::{self, Campaign, CellOptions};
+use gaas_experiments::campaign::{self, Campaign, CellOptions, CellResult};
 use gaas_experiments::{chaos, fig2, tablefmt};
 use gaas_sim::config::SimConfig;
 use gaas_sim::WritePolicy;
@@ -52,6 +52,15 @@ fn tmp_journal(tag: &str) -> std::path::PathBuf {
     dir.join("journal.json")
 }
 
+/// Each cell's CPI (`None` for a failed cell), by cell index.
+fn cpis(results: Vec<CellResult>) -> Vec<(usize, Option<f64>)> {
+    results
+        .into_iter()
+        .map(|r| r.ok().map(|r| r.cpi()))
+        .enumerate()
+        .collect()
+}
+
 /// Render the sweep the way a figure table would: one line per cell.
 fn render(results: &[(usize, Option<f64>)]) -> String {
     results
@@ -69,11 +78,7 @@ fn interrupted_campaign_resumes_byte_identical() {
 
     // Reference: the full sweep, journaled start to finish.
     let mut full = Campaign::open(&journal, false, CellOptions::default()).expect("open");
-    let reference: Vec<(usize, Option<f64>)> = cfgs
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (i, full.cell(c, SCALE).ok().map(|r| r.cpi())))
-        .collect();
+    let reference = cpis(full.run_cells(&cfgs, SCALE));
     assert_eq!(full.stats().executed, cfgs.len() as u64);
     let reference_table = render(&reference);
     drop(full);
@@ -81,19 +86,16 @@ fn interrupted_campaign_resumes_byte_identical() {
 
     // "Killed" run: two of four cells, then the process dies (drop).
     let mut partial = Campaign::open(&journal, true, CellOptions::default()).expect("open");
-    for c in &cfgs[..2] {
-        assert!(partial.cell(c, SCALE).is_done());
-    }
+    assert!(partial
+        .run_cells(&cfgs[..2], SCALE)
+        .iter()
+        .all(CellResult::is_done));
     drop(partial);
     assert!(journal.exists(), "journal must survive the crash");
 
     // Resumed run: all four cells again — two reloaded, two executed.
     let mut resumed = Campaign::open(&journal, true, CellOptions::default()).expect("open");
-    let rerun: Vec<(usize, Option<f64>)> = cfgs
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (i, resumed.cell(c, SCALE).ok().map(|r| r.cpi())))
-        .collect();
+    let rerun = cpis(resumed.run_cells(&cfgs, SCALE));
     let stats = resumed.stats();
     assert_eq!(stats.reused, 2, "finished cells must not re-execute");
     assert_eq!(stats.executed, 2, "unfinished cells must execute");
@@ -114,11 +116,15 @@ fn journal_reload_is_lossless_across_reopen() {
     let cfg = SimConfig::baseline();
 
     let mut first = Campaign::open(&journal, true, CellOptions::default()).expect("open");
-    let fresh = first.cell(&cfg, SCALE).ok().expect("done");
+    let fresh = first.run_cells(std::slice::from_ref(&cfg), SCALE).remove(0);
+    let fresh = fresh.ok().expect("done");
     drop(first);
 
     let mut second = Campaign::open(&journal, true, CellOptions::default()).expect("open");
-    let reloaded = second.cell(&cfg, SCALE).ok().expect("done");
+    let reloaded = second
+        .run_cells(std::slice::from_ref(&cfg), SCALE)
+        .remove(0);
+    let reloaded = reloaded.ok().expect("done");
     assert_eq!(second.stats().executed, 0);
     assert_eq!(reloaded.counters, fresh.counters);
     assert_eq!(reloaded.per_process, fresh.per_process);

@@ -45,8 +45,7 @@ fn cheap_failing_configs() -> Vec<SimConfig> {
 fn build_journal(path: &Path, cfgs: &[SimConfig]) -> Vec<u8> {
     let _ = std::fs::remove_file(path);
     let mut c = Campaign::open(path, false, CellOptions::default()).expect("open");
-    for cfg in cfgs {
-        let res = c.cell(cfg, SCALE);
+    for res in c.run_cells(cfgs, SCALE) {
         assert!(!res.is_done(), "cheap cells fail by construction");
     }
     drop(c);
@@ -99,9 +98,7 @@ fn one_flipped_byte_loses_exactly_that_record() {
     // Resuming over the damaged journal re-executes only the lost cell
     // and leaves every other one reused.
     let mut resumed = Campaign::open(&journal, true, CellOptions::default()).expect("open");
-    for cfg in &cfgs {
-        let _ = resumed.cell(cfg, SCALE);
-    }
+    let _ = resumed.run_cells(&cfgs, SCALE);
     let stats = resumed.stats();
     assert_eq!(stats.reused, cfgs.len() as u64 - 1);
     assert_eq!(stats.executed, 1);
@@ -213,7 +210,10 @@ fn legacy_v1_journal_is_dropped_and_rewritten() {
     // Opening with resume reuses nothing, and the first new record
     // rewrites the file in version-2 framing.
     let mut c = Campaign::open(&journal, true, CellOptions::default()).expect("open");
-    assert!(!c.cell(&cfgs[0], SCALE).is_done(), "typed failure");
+    assert!(
+        !c.run_cells(&cfgs[..1], SCALE)[0].is_done(),
+        "typed failure"
+    );
     assert_eq!(c.stats().reused, 0);
     drop(c);
     let rewritten = campaign::inspect_journal(&journal).expect("inspect");
@@ -242,7 +242,7 @@ fn poisoned_cell_quarantines_with_journaled_reason() {
         attempts: 2,
     };
     let mut c = Campaign::open(&journal, true, opts).expect("open");
-    match c.cell(&cfg, SCALE) {
+    match c.run_cells(std::slice::from_ref(&cfg), SCALE).remove(0) {
         campaign::CellResult::Failed { error, attempts } => {
             assert!(error.contains(chaos::POISON_PANIC), "{error}");
             assert_eq!(attempts, 2, "panics burn the whole retry budget");
@@ -260,7 +260,10 @@ fn poisoned_cell_quarantines_with_journaled_reason() {
     assert!(quarantined[0].1.contains(chaos::POISON_PANIC));
 
     let mut resumed = Campaign::open(&journal, true, opts).expect("open");
-    match resumed.cell(&cfg, SCALE) {
+    match resumed
+        .run_cells(std::slice::from_ref(&cfg), SCALE)
+        .remove(0)
+    {
         campaign::CellResult::Failed { error, .. } => {
             assert!(error.starts_with("quarantined: "), "{error}");
         }

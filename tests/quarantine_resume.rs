@@ -91,8 +91,8 @@ fn check_seed(seed: u64) {
     // Run 1: the poisoned victim exhausts its retry budget and is
     // quarantined; every other cell completes.
     let mut c = Campaign::open(&journal, false, opts()).expect("open fresh");
-    for (i, cfg) in cfgs.iter().enumerate() {
-        match c.cell(cfg, SCALE) {
+    for (i, res) in c.run_cells(&cfgs, SCALE).into_iter().enumerate() {
+        match res {
             CellResult::Done(_) => assert_ne!(i, victim, "seed {seed}: victim completed"),
             CellResult::Failed { error, attempts } => {
                 assert_eq!(i, victim, "seed {seed}: wrong cell failed: {error}");
@@ -109,8 +109,8 @@ fn check_seed(seed: u64) {
     // Run 2 (property 1): unchanged configs resume entirely from the
     // journal; the victim stays skipped with its quarantine reason.
     let mut c = Campaign::open(&journal, true, opts()).expect("open resume");
-    for (i, cfg) in cfgs.iter().enumerate() {
-        match c.cell(cfg, SCALE) {
+    for (i, res) in c.run_cells(&cfgs, SCALE).into_iter().enumerate() {
+        match res {
             CellResult::Done(_) => assert_ne!(i, victim, "seed {seed}"),
             CellResult::Failed { error, .. } => {
                 assert_eq!(i, victim, "seed {seed}: wrong cell failed: {error}");
@@ -144,15 +144,11 @@ fn check_seed(seed: u64) {
         "seed {seed}: the mutation must change the fingerprint"
     );
     let mut c = Campaign::open(&journal, true, opts()).expect("open mutated resume");
-    for (i, cfg) in mutated.iter().enumerate() {
-        let res = c.cell(cfg, SCALE);
-        if i == victim {
-            assert!(
-                matches!(res, CellResult::Done(_)),
-                "seed {seed}: a changed config must be re-eligible, got {res:?}"
-            );
-        }
-    }
+    let res = c.run_cells(&mutated, SCALE).remove(victim);
+    assert!(
+        matches!(res, CellResult::Done(_)),
+        "seed {seed}: a changed config must be re-eligible, got {res:?}"
+    );
     let stats = c.stats();
     assert_eq!(
         stats.executed, 1,
