@@ -59,7 +59,7 @@ use gaas_sim::{
 };
 use gaas_trace::PhysAddr;
 
-use crate::directory::Directory;
+use crate::directory::{Directory, Sharers};
 use crate::mesi::{next_state, MesiEvent, MesiState};
 use crate::oracle::CoherenceOracle;
 
@@ -232,18 +232,19 @@ impl Snoop<'_> {
         PhysAddr::new(paddr.word() & self.p.d_line_mask)
     }
 
-    /// Collects the healed remote sharers of `line` (cores other than
-    /// `c` whose L1-D actually holds it).
+    /// Heals the remote records of `line` in `row` and collects the
+    /// remote sharers (cores other than `c` whose L1-D actually holds
+    /// it). Only valid records are probed.
     fn remote_sharers(
         &mut self,
         line: PhysAddr,
+        row: &mut Sharers,
     ) -> ([(usize, MesiState); MAX_CORES as usize], usize) {
         let mut remotes = [(0usize, MesiState::Invalid); MAX_CORES as usize];
         let mut nr = 0;
         let c = self.c;
         for m in (0..self.n_cores()).filter(|&m| m != c) {
-            let resident = self.remote(m).holds_d_line(line);
-            let st = self.p.dir.heal(line, m, resident);
+            let st = row.heal(m, || self.remote(m).holds_d_line(line));
             if st != MesiState::Invalid {
                 remotes[nr] = (m, st);
                 nr += 1;
@@ -254,8 +255,9 @@ impl Snoop<'_> {
 }
 
 impl CoherenceHook for Snoop<'_> {
-    /// The stored line and the local MESI state before the store.
-    type Pending = (PhysAddr, MesiState);
+    /// The stored line, its directory row as recorded, and that row
+    /// with the local record healed before the store.
+    type Pending = (PhysAddr, Sharers, Sharers);
 
     fn load_hit(&mut self, paddr: PhysAddr) {
         let line = self.line_of(paddr);
@@ -268,7 +270,9 @@ impl CoherenceHook for Snoop<'_> {
     /// at time `t0`; returns the coherence stall.
     fn load_fill(&mut self, core: &mut Core, back: &mut Backside, t0: u64, line: PhysAddr) -> u64 {
         let c = self.c;
-        let (remotes, nr) = self.remote_sharers(line);
+        let recorded = self.p.dir.row(line);
+        let mut row = recorded;
+        let (remotes, nr) = self.remote_sharers(line, &mut row);
         let mut charge = 0u64;
         if nr > 0 {
             // Remote copies exist: the read goes on the snoop bus so the
@@ -284,13 +288,13 @@ impl CoherenceHook for Snoop<'_> {
                         back.mark_l2d_dirty(line);
                         let ns = next_state(st, MesiEvent::RemoteRead)
                             .expect("M -> RemoteRead is legal");
-                        self.p.dir.set(line, m, ns);
+                        row.set(m, ns);
                         self.remote(m).counters_mut().mesi_to_s += 1;
                     }
                     MesiState::Exclusive => {
                         let ns = next_state(st, MesiEvent::RemoteRead)
                             .expect("E -> RemoteRead is legal");
-                        self.p.dir.set(line, m, ns);
+                        row.set(m, ns);
                         self.remote(m).counters_mut().mesi_to_s += 1;
                     }
                     MesiState::Shared => {}
@@ -304,7 +308,10 @@ impl CoherenceHook for Snoop<'_> {
             MesiEvent::FillExclusive
         };
         let ns = next_state(MesiState::Invalid, fill).expect("fill from I is legal");
-        self.p.dir.set(line, c, ns);
+        row.set(c, ns);
+        if row != recorded {
+            self.p.dir.set_row(line, row);
+        }
         let counters = core.counters_mut();
         match ns {
             MesiState::Shared => counters.mesi_to_s += 1,
@@ -320,22 +327,25 @@ impl CoherenceHook for Snoop<'_> {
 
     fn before_store(&mut self, core: &Core, paddr: PhysAddr) -> Self::Pending {
         let line = self.line_of(paddr);
-        let resident = core.holds_d_line(line);
-        (line, self.p.dir.heal(line, self.c, resident))
+        let recorded = self.p.dir.row(line);
+        let mut row = recorded;
+        row.heal(self.c, || core.holds_d_line(line));
+        (line, recorded, row)
     }
 
-    /// MESI bookkeeping + cost for a store to `line` at time `t0`
-    /// (`prev_local` read before the array changed); returns the
-    /// coherence stall.
+    /// MESI bookkeeping + cost for a store to `line` at time `t0` (the
+    /// row read, and the local record healed, before the array
+    /// changed); returns the coherence stall.
     fn store(
         &mut self,
         core: &mut Core,
         back: &mut Backside,
         t0: u64,
-        (line, prev_local): Self::Pending,
+        (line, recorded, mut row): Self::Pending,
     ) -> u64 {
         let c = self.c;
-        let (remotes, nr) = self.remote_sharers(line);
+        let prev_local = row.get(c);
+        let (remotes, nr) = self.remote_sharers(line, &mut row);
         let mut charge = 0u64;
         // The directory filters: only stores that must reach another
         // core's cache (invalidation round) or announce an upgrade of a
@@ -360,7 +370,7 @@ impl CoherenceHook for Snoop<'_> {
                         back.mark_l2d_dirty(line);
                     }
                 }
-                self.p.dir.set(line, m, MesiState::Invalid);
+                row.set(m, MesiState::Invalid);
                 if self.p.oracle.is_some() {
                     let still = self.remote(m).holds_d_line(line);
                     if let Some(o) = self.p.oracle.as_mut() {
@@ -385,7 +395,10 @@ impl CoherenceHook for Snoop<'_> {
         if resident && prev_local != MesiState::Modified {
             core.counters_mut().mesi_to_m += 1;
         }
-        self.p.dir.set(line, c, new_local);
+        row.set(c, new_local);
+        if row != recorded {
+            self.p.dir.set_row(line, row);
+        }
         if self.p.oracle.is_some() {
             // SWMR: after the invalidation round no other core may hold
             // the line, whatever state the directory claims.

@@ -30,7 +30,7 @@ pub mod mesi;
 pub mod oracle;
 
 pub use cmp::{CmpResult, CmpSimulator};
-pub use directory::Directory;
+pub use directory::{Directory, Sharers};
 pub use mesi::{next_state, IllegalTransition, MesiEvent, MesiState};
 pub use oracle::{CoherenceOracle, Violation};
 

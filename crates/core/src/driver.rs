@@ -20,21 +20,28 @@
 //!
 //! Cores interleave by functional-clock order (earliest `fnow` executes
 //! next; ties resolve to the lowest core id), so the interleaving is
-//! deterministic and independent of timing knobs. With one core and no
-//! instrumentation the driver steps straight over the scheduler's
-//! buffered events (the span drain), which is where the single CPU spends
-//! its time.
+//! deterministic and independent of timing knobs. Without
+//! instrumentation, at every core count, the driver keeps a cursor into
+//! each core's buffered scheduler events and steps the picked core
+//! straight from it (the span interleave), which is where both engines
+//! spend their time: one core steps on to the end of its span, several
+//! cores are picked again after every instruction. The scheduler is
+//! entered only for refills, admissions, rotations and the merged poll.
+//! Instrumented runs (telemetry, fault injection, either oracle) take
+//! the per-instruction scheduler path, with the run hooks after each
+//! instruction; both paths retire the same instructions in the same
+//! order.
 //!
 //! [`Simulator`]: crate::sim::Simulator
 
 use gaas_telemetry::Component;
-use gaas_trace::Trace;
+use gaas_trace::{Trace, TraceEvent};
 
-use crate::config::{ConfigError, SimConfig};
+use crate::config::{ConfigError, SimConfig, MAX_CORES};
 use crate::cpi::{active_processes, Counters, ProcCounters};
 use crate::oracle::DiffState;
 use crate::pipeline::{Backside, CoherenceHook, Core, FaultState, NoCoherence, TelemetryState};
-use crate::sched::{Instruction, Scheduler};
+use crate::sched::Scheduler;
 use crate::sim::{CancelToken, Checkpoint, SimError, SimResult, Termination};
 
 /// Instructions between cooperative-cancellation polls: coarse enough to
@@ -45,7 +52,7 @@ pub(crate) const CANCEL_CHECK_INTERVAL: u64 = 8192;
 /// What a multi-core engine adds to the run driver: the coherence hook
 /// for each data access, and the protocol check after each instruction.
 /// The single CPU supplies [`NoCoherence`]; with one core the driver
-/// never asks for a hook.
+/// runs [`NoCoherence`] in any engine's place.
 pub trait Coherence {
     /// The hook one data access of one core runs through.
     type Hook<'a>: CoherenceHook
@@ -187,126 +194,30 @@ impl Machine {
             .into_iter()
             .map(|traces| Scheduler::new(traces, level, slice))
             .collect();
-        let mut done = vec![false; n];
-        let mut retired = 0u64;
-
-        // Disabled features get `u64::MAX` thresholds: the per-instruction
-        // poll is then a never-taken compare instead of flag re-checks.
-        let first = |every: u64| if every > 0 { every } else { u64::MAX };
-        let mut next_warm = first(warmup_instructions);
-        let mut next_window = first(window_instructions);
-        let checkpoint_interval = self.cfg.checkpoint_interval;
-        let mut next_checkpoint = first(checkpoint_interval);
-        let budget_limit = self.cfg.instruction_budget.unwrap_or(u64::MAX);
-        let mut next_cancel_check = if self.cancel.is_some() {
-            CANCEL_CHECK_INTERVAL
-        } else {
-            u64::MAX
-        };
-        let mut warm_snapshot: Option<Vec<Counters>> = None;
-        let mut windows = Vec::new();
-        let mut window_start = Counters::new();
-        let mut checkpoints = Vec::new();
-        let mut termination = Termination::Completed;
-        // All periodic thresholds collapse into one merged poll: each
-        // fires at an exact instruction count, so checking the minimum
-        // and re-deriving it after a hit preserves boundary semantics.
-        let mut next_poll = next_warm
-            .min(next_window)
-            .min(next_checkpoint)
-            .min(budget_limit)
-            .min(next_cancel_check);
+        let mut poll = Poll::new(
+            warmup_instructions,
+            window_instructions,
+            self.cfg.checkpoint_interval,
+            self.cfg.instruction_budget,
+            self.cancel.is_some(),
+        );
 
         // The loop is specialized on `hooks`: when every instrumentation
         // layer is off and the protocol need not see every access — the
         // common case and the whole benchmark kernel — the `false`
-        // instantiations of the step functions compile the hook plumbing
-        // out entirely. The flags cannot turn on mid-run, so one check up
-        // front covers the run.
+        // instantiation compiles the hook plumbing out entirely and steps
+        // straight over the scheduler's buffered spans. The flags cannot
+        // turn on mid-run, so one check up front covers the run.
         let hooks = coh.observes_every_access() || self.cores.iter().any(Core::hooks_active);
-        let span_drain = n == 1 && !hooks;
-        loop {
-            // Next core by functional-clock order, lowest id on ties.
-            let mut c = usize::MAX;
-            let mut best = u64::MAX;
-            for (i, core) in self.cores.iter().enumerate() {
-                if !done[i] && core.fnow < best {
-                    best = core.fnow;
-                    c = i;
-                }
-            }
-            if c == usize::MAX {
-                break;
-            }
-            // The scheduler sees the *functional* clock, not the timing
-            // clock: time-slice context switches then land on identical
-            // instruction boundaries for every timing variant of one cache
-            // geometry.
-            let sched = &mut scheds[c];
-            let Some(instr) = sched.next_instruction(best) else {
-                done[c] = true;
-                continue;
-            };
-            let before = self.cores[c].counters.instructions;
-            if hooks {
-                step::<true, P>(&mut self.cores, &mut self.back, coh, c, &instr);
-            } else {
-                step::<false, P>(&mut self.cores, &mut self.back, coh, c, &instr);
-            }
-            let core = &mut self.cores[c];
-            sched.post_instruction(core.fnow, instr.ifetch.syscall);
-            if span_drain {
-                // One core: its retired count is the machine's.
-                drain_span(core, &mut self.back, sched, next_poll);
-            }
-            retired += core.counters.instructions - before;
-            if hooks {
-                core.after_instruction(sched, retired)?;
-                if let Some(err) = coh.check(&self.cores) {
-                    return Err(err);
-                }
-            }
-            if retired >= next_poll {
-                if retired >= next_cancel_check {
-                    next_cancel_check = retired + CANCEL_CHECK_INTERVAL;
-                    if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                        return Err(SimError::Cancelled);
-                    }
-                }
-                if retired >= next_warm {
-                    warm_snapshot = Some(self.cores.iter().map(|core| core.counters).collect());
-                    next_warm = u64::MAX;
-                }
-                if retired >= next_window {
-                    let now = merged(self.cores.iter().map(|core| core.counters));
-                    windows.push(now.since(&window_start));
-                    window_start = now;
-                    next_window += window_instructions;
-                }
-                if retired >= next_checkpoint {
-                    // Every core's restart rollback target is its own
-                    // clock at the checkpoint.
-                    for core in &mut self.cores {
-                        core.last_checkpoint_cycle = core.now;
-                    }
-                    checkpoints.push(Checkpoint {
-                        cycle: self.cores[c].now,
-                        instructions: retired,
-                        sched: scheds[c].snapshot(),
-                    });
-                    next_checkpoint += checkpoint_interval;
-                }
-                if retired >= budget_limit {
-                    termination = Termination::BudgetExhausted;
-                    break;
-                }
-                next_poll = next_warm
-                    .min(next_window)
-                    .min(next_checkpoint)
-                    .min(budget_limit)
-                    .min(next_cancel_check);
-            }
-        }
+        // One core has no other core to keep coherent, so it runs without
+        // the protocol, exactly as the single CPU does (its oracle, if
+        // any, would observe nothing).
+        let termination = match (hooks, n) {
+            (true, 1) => self.interleave::<true, _>(&mut scheds, &mut NoCoherence, &mut poll)?,
+            (false, 1) => self.interleave::<false, _>(&mut scheds, &mut NoCoherence, &mut poll)?,
+            (true, _) => self.interleave::<true, P>(&mut scheds, coh, &mut poll)?,
+            (false, _) => self.interleave::<false, P>(&mut scheds, coh, &mut poll)?,
+        };
 
         for (core, sched) in self.cores.iter_mut().zip(&scheds) {
             core.finish(&self.back, sched)?;
@@ -317,7 +228,7 @@ impl Machine {
             .cores
             .iter()
             .enumerate()
-            .map(|(i, core)| match &warm_snapshot {
+            .map(|(i, core)| match &poll.warm_snapshot {
                 Some(snaps) => core.counters.since(&snaps[i]),
                 None => core.counters,
             })
@@ -342,13 +253,358 @@ impl Machine {
                 .collect(),
             per_process: active_processes(&rows),
             termination,
-            checkpoints,
+            checkpoints: poll.checkpoints,
         };
         Ok(Run {
             result,
-            windows,
+            windows: poll.windows,
             per_core,
         })
+    }
+
+    /// The scheduler loop: interleaves the cores by functional-clock
+    /// order until every workload terminates or the poll ends the run.
+    /// Uninstrumented, the cores step over their buffered spans
+    /// ([`Machine::run_spans`]) and enter the scheduler only for the
+    /// events a span cannot serve; hooked runs take the scheduler path
+    /// for every instruction, with the run hooks after it.
+    fn interleave<const HOOKS: bool, P: Coherence>(
+        &mut self,
+        scheds: &mut [Scheduler],
+        coh: &mut P,
+        poll: &mut Poll,
+    ) -> Result<Termination, SimError> {
+        let mut clocks = Clocks::new(&self.cores);
+        let mut retired = 0u64;
+        loop {
+            let (c, stepped) = if HOOKS {
+                match clocks.pick() {
+                    Some(c) => (c, false),
+                    None => break,
+                }
+            } else {
+                match self.run_spans(scheds, coh, &mut clocks, &mut retired, poll.next) {
+                    SpanStop::Finished => break,
+                    SpanStop::Scheduler(c) => (c, false),
+                    SpanStop::Stepped(c) => (c, true),
+                }
+            };
+            if !stepped {
+                // The scheduler sees the *functional* clock, not the
+                // timing clock: time-slice context switches then land on
+                // identical instruction boundaries for every timing
+                // variant of one cache geometry.
+                let sched = &mut scheds[c];
+                let Some(instr) = sched.next_instruction(clocks.fnow[c]) else {
+                    clocks.finish(c);
+                    continue;
+                };
+                let (before, rest) = self.cores.split_at_mut(c);
+                let (core, after) = rest.split_first_mut().expect("picked core exists");
+                step::<HOOKS, P>(
+                    core,
+                    before,
+                    after,
+                    &mut self.back,
+                    coh,
+                    c,
+                    &instr.ifetch,
+                    instr.data,
+                );
+                clocks.fnow[c] = core.fnow;
+                sched.post_instruction(core.fnow, instr.ifetch.syscall);
+                retired += 1;
+                if HOOKS {
+                    core.after_instruction(sched, retired)?;
+                    if let Some(err) = coh.check(&self.cores) {
+                        return Err(err);
+                    }
+                }
+            }
+            if retired >= poll.next {
+                if let Some(end) =
+                    poll.fire(retired, &mut self.cores, c, &scheds[c], &self.cancel)?
+                {
+                    return Ok(end);
+                }
+            }
+        }
+        Ok(Termination::Completed)
+    }
+
+    /// The span interleave of an uninstrumented run: picks cores in
+    /// functional-clock order and steps each straight over its installed
+    /// process's buffered events through a cursor kept across picks,
+    /// checking the per-instruction conditions (syscall, slice expiry,
+    /// the merged poll at `next_poll`) inline in the scheduler path's
+    /// order. With one core the pick never changes, so the core steps
+    /// on to the end of its span; with more, the pick runs again after
+    /// every instruction (turns average under two instructions, so a
+    /// run-ahead horizon would cost more than it saves).
+    ///
+    /// Returns at the first event a span cannot serve, with every
+    /// cursor written back: a core whose span is down to its final
+    /// event (left for `next_instruction`, which can peek across a batch
+    /// refill for its data half) or empty (a process to install); a
+    /// core whose process rotated out (reported to its scheduler here:
+    /// `post_instruction` on a non-rotating instruction is a no-op, so
+    /// reporting only the rotating one is exact); the poll falling due;
+    /// or every core finished.
+    fn run_spans<P: Coherence>(
+        &mut self,
+        scheds: &mut [Scheduler],
+        coh: &mut P,
+        clocks: &mut Clocks,
+        retired: &mut u64,
+        next_poll: u64,
+    ) -> SpanStop {
+        let solo = self.cores.len() == 1;
+        let mut cursors = [Cursor::EMPTY; MAX_CORES as usize];
+        for (cursor, sched) in cursors.iter_mut().zip(scheds.iter()) {
+            let (span, pos) = sched.current_span();
+            *cursor = Cursor {
+                span,
+                start: pos,
+                pos,
+                slice_end: sched.slice_end(),
+            };
+        }
+        let mut rotated = None;
+        let stop = loop {
+            let Some(c) = clocks.pick() else {
+                break SpanStop::Finished;
+            };
+            let cursor = &mut cursors[c];
+            let span = cursor.span;
+            let mut pos = cursor.pos;
+            if pos + 1 >= span.len() {
+                break SpanStop::Scheduler(c);
+            }
+            let (before, rest) = self.cores.split_at_mut(c);
+            let (core, after) = rest.split_first_mut().expect("picked core exists");
+            while pos + 1 < span.len() {
+                let ifetch = span[pos];
+                pos += 1;
+                let d = span[pos];
+                let data = if d.kind.is_data() {
+                    pos += 1;
+                    Some(d)
+                } else {
+                    None
+                };
+                step::<false, P>(core, before, after, &mut self.back, coh, c, &ifetch, data);
+                *retired += 1;
+                if ifetch.syscall || core.fnow >= cursor.slice_end {
+                    rotated = Some((core.fnow, ifetch.syscall));
+                    break;
+                }
+                if *retired >= next_poll || !solo {
+                    break;
+                }
+            }
+            cursor.pos = pos;
+            clocks.fnow[c] = core.fnow;
+            if rotated.is_some() || *retired >= next_poll {
+                break SpanStop::Stepped(c);
+            }
+        };
+        let consumed = cursors.map(|cursor| cursor.pos - cursor.start);
+        for (sched, events) in scheds.iter_mut().zip(consumed) {
+            sched.advance(events);
+        }
+        if let (SpanStop::Stepped(c), Some((fnow, syscall))) = (stop, rotated) {
+            scheds[c].post_instruction(fnow, syscall);
+        }
+        stop
+    }
+}
+
+/// Every live core's functional clock: the pick scans this instead of
+/// the cores themselves. A core's `fnow` moves only when it steps
+/// (coherence actions charge the requester's timing clock alone), so
+/// the loop refreshes one entry per step.
+struct Clocks {
+    /// `fnow` per core, or `u64::MAX` once its workload has terminated
+    /// (a clock the pick never takes).
+    fnow: [u64; MAX_CORES as usize],
+    cores: usize,
+}
+
+impl Clocks {
+    fn new(cores: &[Core]) -> Self {
+        let mut fnow = [u64::MAX; MAX_CORES as usize];
+        for (clock, core) in fnow.iter_mut().zip(cores) {
+            *clock = core.fnow;
+        }
+        Clocks {
+            fnow,
+            cores: cores.len(),
+        }
+    }
+
+    /// The next core by functional-clock order, lowest id on ties;
+    /// `None` once every core has finished.
+    #[inline]
+    fn pick(&self) -> Option<usize> {
+        let mut c = None;
+        let mut best = u64::MAX;
+        for (i, &clock) in self.fnow[..self.cores].iter().enumerate() {
+            if clock < best {
+                best = clock;
+                c = Some(i);
+            }
+        }
+        c
+    }
+
+    /// Takes core `c` out of the pick.
+    fn finish(&mut self, c: usize) {
+        self.fnow[c] = u64::MAX;
+    }
+}
+
+/// Where [`Machine::run_spans`] stopped.
+#[derive(Debug, Clone, Copy)]
+enum SpanStop {
+    /// Every core's workload has terminated.
+    Finished,
+    /// The picked core needs the scheduler for its next instruction.
+    Scheduler(usize),
+    /// This core retired an instruction that rotated its process out or
+    /// made the poll due.
+    Stepped(usize),
+}
+
+/// A core's position in its installed process's buffered events.
+#[derive(Clone, Copy)]
+struct Cursor<'a> {
+    span: &'a [TraceEvent],
+    /// Position when the cursor was taken.
+    start: usize,
+    pos: usize,
+    /// The process's time-slice expiry (constant while it is installed).
+    slice_end: u64,
+}
+
+impl Cursor<'_> {
+    const EMPTY: Self = Cursor {
+        span: &[],
+        start: 0,
+        pos: 0,
+        slice_end: 0,
+    };
+}
+
+/// The merged poll over warm-up, windows, checkpoints, the instruction
+/// budget and cancellation, all counted in instructions retired by the
+/// whole machine, and what it collects.
+struct Poll {
+    /// The smallest threshold below: the loop's one per-instruction
+    /// compare. Each threshold fires at an exact instruction count, so
+    /// checking the minimum and re-deriving it after a hit preserves
+    /// boundary semantics.
+    next: u64,
+    next_warm: u64,
+    next_window: u64,
+    next_checkpoint: u64,
+    next_cancel_check: u64,
+    budget_limit: u64,
+    window_instructions: u64,
+    checkpoint_interval: u64,
+    warm_snapshot: Option<Vec<Counters>>,
+    windows: Vec<Counters>,
+    window_start: Counters,
+    checkpoints: Vec<Checkpoint>,
+}
+
+impl Poll {
+    fn new(
+        warmup_instructions: u64,
+        window_instructions: u64,
+        checkpoint_interval: u64,
+        budget: Option<u64>,
+        cancellable: bool,
+    ) -> Self {
+        // Disabled features get `u64::MAX` thresholds: the per-instruction
+        // poll is then a never-taken compare instead of flag re-checks.
+        let first = |every: u64| if every > 0 { every } else { u64::MAX };
+        let mut poll = Poll {
+            next: 0,
+            next_warm: first(warmup_instructions),
+            next_window: first(window_instructions),
+            next_checkpoint: first(checkpoint_interval),
+            next_cancel_check: if cancellable {
+                CANCEL_CHECK_INTERVAL
+            } else {
+                u64::MAX
+            },
+            budget_limit: budget.unwrap_or(u64::MAX),
+            window_instructions,
+            checkpoint_interval,
+            warm_snapshot: None,
+            windows: Vec::new(),
+            window_start: Counters::new(),
+            checkpoints: Vec::new(),
+        };
+        poll.rearm();
+        poll
+    }
+
+    fn rearm(&mut self) {
+        self.next = self
+            .next_warm
+            .min(self.next_window)
+            .min(self.next_checkpoint)
+            .min(self.budget_limit)
+            .min(self.next_cancel_check);
+    }
+
+    /// Handles every threshold `retired` has reached; core `c` retired
+    /// the crossing instruction. `Some` ends the run with that
+    /// termination.
+    #[cold]
+    fn fire(
+        &mut self,
+        retired: u64,
+        cores: &mut [Core],
+        c: usize,
+        sched: &Scheduler,
+        cancel: &Option<CancelToken>,
+    ) -> Result<Option<Termination>, SimError> {
+        if retired >= self.next_cancel_check {
+            self.next_cancel_check = retired + CANCEL_CHECK_INTERVAL;
+            if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+                return Err(SimError::Cancelled);
+            }
+        }
+        if retired >= self.next_warm {
+            self.warm_snapshot = Some(cores.iter().map(|core| core.counters).collect());
+            self.next_warm = u64::MAX;
+        }
+        if retired >= self.next_window {
+            let now = merged(cores.iter().map(|core| core.counters));
+            self.windows.push(now.since(&self.window_start));
+            self.window_start = now;
+            self.next_window += self.window_instructions;
+        }
+        if retired >= self.next_checkpoint {
+            // Every core's restart rollback target is its own clock at
+            // the checkpoint.
+            for core in cores.iter_mut() {
+                core.last_checkpoint_cycle = core.now;
+            }
+            self.checkpoints.push(Checkpoint {
+                cycle: cores[c].now,
+                instructions: retired,
+                sched: sched.snapshot(),
+            });
+            self.next_checkpoint += self.checkpoint_interval;
+        }
+        if retired >= self.budget_limit {
+            return Ok(Some(Termination::BudgetExhausted));
+        }
+        self.rearm();
+        Ok(None)
     }
 }
 
@@ -357,79 +613,23 @@ fn merged(per_core: impl Iterator<Item = Counters>) -> Counters {
     per_core.fold(Counters::new(), |acc, c| acc.accum(&c))
 }
 
-/// Steps core `c` through one instruction, with the protocol's hook on
-/// its data access when other cores exist.
-#[inline]
+/// Steps core `c` (split from the `before` and `after` cores) through
+/// one instruction, with the protocol's hook on its data access.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn step<const HOOKS: bool, P: Coherence>(
-    cores: &mut [Core],
+    core: &mut Core,
+    before: &mut [Core],
+    after: &mut [Core],
     back: &mut Backside,
     coh: &mut P,
     c: usize,
-    instr: &Instruction,
+    ifetch: &TraceEvent,
+    data: Option<TraceEvent>,
 ) {
-    let (before, rest) = cores.split_at_mut(c);
-    let (core, after) = rest.split_first_mut().expect("active core exists");
-    core.step_ifetch::<HOOKS>(back, &instr.ifetch);
-    let Some(data) = &instr.data else {
-        return;
-    };
-    if before.is_empty() && after.is_empty() {
-        core.step_data::<HOOKS, _>(back, &mut NoCoherence, data);
-    } else {
+    core.step_ifetch::<HOOKS>(back, ifetch);
+    if let Some(data) = &data {
         core.step_data::<HOOKS, _>(back, &mut coh.hook(c, before, after), data);
-    }
-}
-
-/// The span drain of an uninstrumented single core: steps straight over
-/// the installed process's buffered events, checking the same
-/// per-instruction conditions (syscall, slice expiry, the merged poll at
-/// `next_poll`) inline. `post_instruction` on a non-rotating instruction
-/// is a no-op, so reporting only the rotating one is exact. The buffer's
-/// final event is left for `next_instruction`, which can peek across a
-/// batch refill for its data half.
-#[inline]
-fn drain_span(core: &mut Core, back: &mut Backside, sched: &mut Scheduler, next_poll: u64) {
-    let slice_end = sched.slice_end();
-    loop {
-        if core.counters.instructions >= next_poll {
-            break;
-        }
-        let (span, start) = sched.current_span();
-        let end = span.len();
-        if end - start < 2 {
-            break;
-        }
-        let mut pos = start;
-        let mut rotated = false;
-        let mut rotate_syscall = false;
-        while pos + 1 < end {
-            let ifetch = span[pos];
-            pos += 1;
-            let d = span[pos];
-            let data = if d.kind.is_data() {
-                pos += 1;
-                Some(d)
-            } else {
-                None
-            };
-            core.step_ifetch::<false>(back, &ifetch);
-            if let Some(d) = data {
-                core.step_data::<false, _>(back, &mut NoCoherence, &d);
-            }
-            if ifetch.syscall || core.fnow >= slice_end {
-                rotated = true;
-                rotate_syscall = ifetch.syscall;
-                break;
-            }
-            if core.counters.instructions >= next_poll {
-                break;
-            }
-        }
-        sched.advance(pos - start);
-        if rotated {
-            sched.post_instruction(core.fnow, rotate_syscall);
-            break;
-        }
     }
 }
 

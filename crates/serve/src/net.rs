@@ -390,4 +390,94 @@ mod tests {
         core.shutdown();
         durability::set_durable_sync(prev);
     }
+
+    /// Seeded malformed request lines: truncations and one to four byte
+    /// edits of well-formed requests, deep nesting, and huge numbers in
+    /// every field. Each line must get one structured response, an
+    /// object with a boolean `ok`, and a refusal must carry a non-empty
+    /// `error` (plus an integer `retry_after_ms` when it is
+    /// backpressure), never a panic. The executor stays paused, so an
+    /// edit that still forms a valid submit only queues.
+    #[test]
+    fn malformed_request_lines_get_structured_responses() {
+        use gaas_trace::rng::SmallRng;
+        let dir = std::env::temp_dir().join(format!("gaas-serve-fuzz-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let prev = durability::set_durable_sync(false);
+        let core = ServerCore::open(crate::engine::ServeConfig {
+            start_paused: true,
+            ..crate::engine::ServeConfig::new(&dir)
+        })
+        .expect("open core");
+        let structured = |line: &str| {
+            let (resp, stop) = handle_request(line, &core);
+            assert!(!stop, "only a shutdown op stops: {line:?}");
+            let ok = resp.get("ok").and_then(Json::as_bool);
+            assert!(ok.is_some(), "{line:?} -> {}", resp.to_text());
+            if ok == Some(false) {
+                let error = resp.get("error").and_then(Json::as_str).unwrap_or("");
+                assert!(!error.is_empty(), "{line:?} -> {}", resp.to_text());
+                if let Some(retry) = resp.get("retry_after_ms") {
+                    assert!(retry.as_u64().is_some(), "{}", resp.to_text());
+                }
+            }
+            ok == Some(true)
+        };
+        let corpus = [
+            r#"{"op":"ping"}"#,
+            r#"{"op":"stats"}"#,
+            r#"{"op":"status","job":"j0001"}"#,
+            r#"{"op":"result","job":"j0001"}"#,
+            r#"{"op":"cancel","job":"j0002"}"#,
+            r#"{"op":"submit","spec":{"name":"t","scale":0.00005,"deadline_ms":60000,"cells":[{"l2_access":2},{"l2_split":true,"l2_size":65536}]}}"#,
+        ];
+        assert!(
+            structured(corpus[0]) && structured(corpus[5]),
+            "ping and submit pass"
+        );
+        for line in corpus {
+            structured(line);
+            for cut in 1..line.len() {
+                structured(&line[..cut]);
+            }
+        }
+        const BYTES: &[u8] = b"{}[]\",:0123456789.eE+- nulltrue\x7f\xff";
+        let mut rng = SmallRng::seed_from_u64(0x5E2F_F022);
+        for _ in 0..3_000 {
+            let mut bytes = corpus[rng.gen_range(0..corpus.len())].as_bytes().to_vec();
+            for _ in 0..rng.gen_range(1..=4usize) {
+                let at = rng.gen_range(0..bytes.len());
+                let byte = BYTES[rng.gen_range(0..BYTES.len())];
+                match rng.gen_range(0..3u32) {
+                    0 => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+                    1 => bytes[at] = byte,
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            structured(&String::from_utf8_lossy(&bytes));
+        }
+        let huge = format!("1{}", "0".repeat(400));
+        for number in [
+            "18446744073709551616",
+            "1e309",
+            "-1e309",
+            "1e-400",
+            huge.as_str(),
+        ] {
+            for field in ["job", "op", "scale", "deadline_ms", "l2_size", "l2_access"] {
+                structured(&format!(r#"{{"op":"status","{field}":{number}}}"#));
+                structured(&format!(
+                    r#"{{"op":"submit","spec":{{"scale":{number},"cells":[{{"{field}":{number}}}]}}}}"#
+                ));
+            }
+        }
+        for depth in [64, 127, 128, 129, 4096] {
+            let nested = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+            structured(&format!(r#"{{"op":"ping","pad":{nested}}}"#));
+            structured(&format!(r#"{{"op":"submit","spec":{nested}}}"#));
+        }
+        core.shutdown();
+        durability::set_durable_sync(prev);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

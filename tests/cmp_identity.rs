@@ -1,7 +1,7 @@
 //! The CMP engine's correctness anchor: a 1-core CMP run is
 //! **byte-identical** to the validated single-CPU simulator.
 //!
-//! Five angles:
+//! Six angles:
 //!
 //! * **identity fuzz** — seeded random configurations (L2 organization,
 //!   write policy, drain timing, multiprogramming level, instruction
@@ -21,13 +21,16 @@
 //!   streams (one with the oracle on) and a hand-built
 //!   invalidate-then-reload case reproduce recorded counter digests;
 //! * **multi-core run hooks** — cancellation, fault injection and
-//!   checkpoints on a 2-core run.
+//!   checkpoints on a 2-core run;
+//! * **span interleave** — seeded 2- to 8-core runs with uneven loads,
+//!   budgets, checkpoints and warm-ups equal the same runs on the
+//!   per-instruction path the coherence oracle forces.
 
 use gaas_experiments::runner;
 use gaas_sim::config::SimConfig;
 use gaas_sim::{
     CancelToken, CmpConfig, DiffCheckConfig, FaultConfig, FaultRates, L2Config, MachineCheckPolicy,
-    Protection, ProtectionMap, SimError, WritePolicy,
+    Protection, ProtectionMap, SimError, WritePolicy, MAX_CORES,
 };
 use gaas_trace::rng::SmallRng;
 
@@ -436,4 +439,113 @@ fn an_unrecoverable_fault_halts_a_two_core_run() {
     let cfg = faulty_config(MachineCheckPolicy::Halt);
     let err = sharing_run(&cfg, 0x5EED_0002, None).expect_err("a dirty parity strike halts");
     assert!(matches!(err, SimError::MachineCheck { .. }), "{err:?}");
+}
+
+// ---- the span interleave ----
+//
+// Uninstrumented runs step every core straight from its buffered events
+// and enter the scheduler only for refills, admissions, rotations and
+// the merged poll; with the coherence oracle on, the same run takes the
+// per-instruction scheduler path for every instruction. Both must retire
+// the same instructions in the same order, so every result, every poll
+// boundary and every checkpoint must agree.
+
+/// One seeded multi-core run: `cores` cores, some of the first ten suite
+/// benchmarks dealt to random cores (so cores carry uneven loads, some
+/// none, and finish at different times), decorated with shared-segment
+/// references, with a drawn instruction budget, checkpoint interval and
+/// warm-up length.
+fn uneven_run(
+    rng: &mut SmallRng,
+    cores: u32,
+) -> (SimConfig, Vec<usize>, u64, gaas_trace::SharingSpec) {
+    let policies = WritePolicy::all();
+    let mut b = SimConfig::builder();
+    b.policy(policies[rng.gen_range(0..policies.len())])
+        .mp_level(*[1usize, 2, 8].get(rng.gen_range(0..3usize)).unwrap())
+        .cmp(CmpConfig {
+            cores,
+            shared_frac: [0.05, 0.15, 0.3][rng.gen_range(0..3usize)],
+            shared_words: [512u64, 4_096, 16_384][rng.gen_range(0..3usize)],
+            migration_interval: [0u64, 64, 256][rng.gen_range(0..3usize)],
+            ..CmpConfig::default()
+        });
+    if rng.gen_bool(0.4) {
+        b.l2(L2Config::split_even(131_072, 2, 6));
+    }
+    if rng.gen_bool(0.4) {
+        b.instruction_budget(rng.gen_range(10_000..80_000u64));
+    }
+    if rng.gen_bool(0.7) {
+        b.checkpoint_interval(rng.gen_range(500..5_000u64));
+    }
+    let cfg = b.build().expect("drawn CMP configs stay valid");
+    let streams = rng.gen_range(cores as usize..=10);
+    let owners = (0..streams)
+        .map(|_| rng.gen_range(0..cores as usize))
+        .collect();
+    let warmup = [0u64, 1, 777, 5_000][rng.gen_range(0..4usize)];
+    let spec = gaas_trace::SharingSpec {
+        shared_frac: cfg.cmp.shared_frac,
+        shared_words: cfg.cmp.shared_words,
+        migration_interval: cfg.cmp.migration_interval,
+        cores,
+        seed: rng.next_u64(),
+    };
+    (cfg, owners, warmup, spec)
+}
+
+/// Runs `cfg` with stream `i` of the suite on core `owners[i]`.
+fn dealt_run(
+    cfg: &SimConfig,
+    owners: &[usize],
+    warmup: u64,
+    spec: &gaas_trace::SharingSpec,
+) -> Result<gaas_coherence::CmpResult, SimError> {
+    use gaas_trace::{SharingTrace, Trace};
+    let mut per_core: Vec<Vec<Box<dyn Trace>>> = (0..cfg.cmp.cores).map(|_| Vec::new()).collect();
+    let streams = gaas_sim::workload::subset(owners.len(), 2e-4);
+    for (trace, &core) in streams.into_iter().zip(owners) {
+        per_core[core].push(Box::new(SharingTrace::new(trace, core as u32, spec)));
+    }
+    gaas_coherence::CmpSimulator::new(cfg.clone())
+        .expect("valid CMP config")
+        .run_warmed(per_core, warmup)
+}
+
+#[test]
+fn span_interleave_equals_the_per_instruction_path_at_every_core_count() {
+    let mut rng = SmallRng::seed_from_u64(0x5BA4_1EAF);
+    // Which paths the draws reached: an idle core, a budget abort,
+    // checkpoints, a warm-up, invalidations.
+    let mut reached = [false; 5];
+    for (round, cores) in [2, 3, 4, MAX_CORES].repeat(3).into_iter().enumerate() {
+        let (cfg, owners, warmup, spec) = uneven_run(&mut rng, cores);
+        let summary =
+            format!("round {round}, {cores} cores, owners {owners:?}, warm-up {warmup}: {cfg}");
+        let fast = dealt_run(&cfg, &owners, warmup, &spec).expect("uninstrumented run");
+        let mut checked_cfg = cfg.clone();
+        checked_cfg.diffcheck = DiffCheckConfig::on();
+        let checked = dealt_run(&checked_cfg, &owners, warmup, &spec)
+            .expect("the coherence oracle finds no violation");
+        assert_eq!(
+            fast.result.termination, checked.result.termination,
+            "termination drift in {summary}"
+        );
+        assert_eq!(
+            fast.result.checkpoints, checked.result.checkpoints,
+            "checkpoint drift in {summary}"
+        );
+        assert_eq!(
+            cmp_digest(&fast),
+            cmp_digest(&checked),
+            "result drift in {summary}"
+        );
+        reached[0] |= (0..cores as usize).any(|c| !owners.contains(&c));
+        reached[1] |= !fast.result.is_complete();
+        reached[2] |= !fast.result.checkpoints.is_empty();
+        reached[3] |= warmup > 0;
+        reached[4] |= fast.result.counters.invalidations > 0;
+    }
+    assert_eq!(reached, [true; 5], "the draws must reach every path");
 }

@@ -1,10 +1,12 @@
-//! Determinism guarantees of the PR's two performance layers:
+//! Determinism guarantees of the performance layers:
 //!
 //! 1. the work-stealing sweep pool — tables rendered with `--jobs 8` must
 //!    be **byte-identical** to a serial run;
 //! 2. the batched trace kernel — counters from the batched scheduler path
 //!    must equal the unbatched (per-event dispatch) path exactly, across
-//!    plain, fault-injecting, and oracle-checked configurations.
+//!    plain, fault-injecting, and oracle-checked configurations;
+//! 3. the span interleave — counters with telemetry on (the hooked
+//!    per-instruction path) must equal telemetry off.
 
 use gaas_experiments::{ablations, fig2, pool};
 use gaas_sim::config::{DiffCheckConfig, FaultConfig, SimConfig};
@@ -109,4 +111,56 @@ fn batched_kernel_matches_unbatched_with_oracle_on() {
         "oracle-checked run retires instructions"
     );
     assert_same_results(cfg, "diffcheck-on");
+}
+
+/// Telemetry observes a run without changing it: with it on, the single
+/// CPU takes the per-instruction hooked path instead of the span
+/// interleave, and every counter, per-process row, completion, poll
+/// boundary and checkpoint must still equal the telemetry-off run. The
+/// tier-1 twin of `perf_baseline`'s `telemetry_equals_disabled` gate,
+/// over seeded configurations.
+#[test]
+fn telemetry_on_equals_telemetry_off() {
+    use gaas_sim::{L2Config, TelemetryConfig, WritePolicy};
+    use gaas_trace::rng::SmallRng;
+    let mut rng = SmallRng::seed_from_u64(0x7E1E_70FF);
+    for round in 0..4 {
+        let policies = WritePolicy::all();
+        let mut b = SimConfig::builder();
+        b.policy(policies[rng.gen_range(0..policies.len())])
+            .mp_level([1usize, 4, 8][rng.gen_range(0..3usize)])
+            .l2_drain_access(rng.gen_range(2..=10u32));
+        if rng.gen_bool(0.5) {
+            b.l2(L2Config::split_even(
+                [65_536u64, 262_144][rng.gen_range(0..2usize)],
+                if rng.gen_bool(0.5) { 1 } else { 2 },
+                6,
+            ));
+        }
+        if rng.gen_bool(0.5) {
+            b.checkpoint_interval(rng.gen_range(2_000..20_000u64));
+        }
+        if rng.gen_bool(0.5) {
+            b.instruction_budget(rng.gen_range(20_000..200_000u64));
+        }
+        let off = b.build().expect("drawn configs stay valid");
+        let mut on = off.clone();
+        on.telemetry = TelemetryConfig::on();
+        let label = format!("round {round}: {off}");
+        let (plain, observed) = (run_batched(&off), run_batched(&on));
+        assert_eq!(plain.counters, observed.counters, "{label}: counters");
+        assert_eq!(
+            plain.per_process, observed.per_process,
+            "{label}: per-process stats"
+        );
+        assert_eq!(plain.completed, observed.completed, "{label}: completion");
+        assert_eq!(
+            plain.termination, observed.termination,
+            "{label}: termination"
+        );
+        assert_eq!(
+            plain.checkpoints, observed.checkpoints,
+            "{label}: checkpoints"
+        );
+    }
 }
